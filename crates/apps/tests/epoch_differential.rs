@@ -10,21 +10,33 @@
 //! - against `epoch_threads == 0` (the plain serial loop) everything but
 //!   the epoch block — which is then all zero — is identical.
 //!
+//! The same identity covers the machine's two instances of the demand
+//! body: a run with an attached observer that can never fire (a watchdog
+//! stall bound of `u64::MAX`) takes the observed instance — and the direct
+//! path of every task group — and must match the unobserved run exactly.
+//!
 //! The properties drive whole application runs across apps × seeds at
-//! thread counts {0, 1, 2, 4}, compose the engine with the `--scalar`
-//! escape hatch, split runs at random checkpoint cadences so resumes land
-//! mid-epoch-stream, and force replays with a seeded high-conflict
-//! workload (every task read-modify-writes one shared word).
+//! thread counts {0, 1, 2, 4} and on the observed instance, split runs at
+//! random checkpoint cadences so resumes land mid-epoch-stream, and force
+//! replays with a seeded high-conflict workload (every task
+//! read-modify-writes one shared word).
 
 use memfwd::{Machine, SimConfig};
 use memfwd_apps::{run_ck, run_ok, App, Checkpointer, CkOutcome, RunConfig, Variant};
 use proptest::prelude::*;
 
-fn config(variant: Variant, seed: u64, threads: usize, scalar: bool) -> RunConfig {
+fn config(variant: Variant, seed: u64, threads: usize) -> RunConfig {
     let mut cfg = RunConfig::new(variant).smoke();
     cfg.seed = seed;
-    cfg.sim.scalar_path = scalar;
     cfg.sim.epoch_threads = threads;
+    cfg
+}
+
+/// The serial configuration with an inert observer attached, which routes
+/// every reference through the observed demand body.
+fn observed(variant: Variant, seed: u64) -> RunConfig {
+    let mut cfg = config(variant, seed, 0);
+    cfg.sim.watchdog.stall_cycles = Some(u64::MAX);
     cfg
 }
 
@@ -72,8 +84,15 @@ fn split_run(app: App, cfg: &RunConfig, cadence: u64) -> (u64, String, String) {
 fn all_apps_identical_across_thread_counts() {
     for app in App::ALL {
         for seed in [11u64, 4242, 90_001] {
-            let base = full_run(app, &config(Variant::Optimized, seed, 0, false));
-            let one = full_run(app, &config(Variant::Optimized, seed, 1, false));
+            let base = full_run(app, &config(Variant::Optimized, seed, 0));
+            let general = full_run(app, &observed(Variant::Optimized, seed));
+            assert_eq!(
+                &base,
+                &general,
+                "{} seed {seed}: observed demand body diverged from unobserved",
+                app.name()
+            );
+            let one = full_run(app, &config(Variant::Optimized, seed, 1));
             assert_eq!(
                 (&base.0, &base.1),
                 (&one.0, &one.1),
@@ -81,7 +100,7 @@ fn all_apps_identical_across_thread_counts() {
                 app.name()
             );
             for threads in [2usize, 4] {
-                let t = full_run(app, &config(Variant::Optimized, seed, threads, false));
+                let t = full_run(app, &config(Variant::Optimized, seed, threads));
                 assert_eq!(
                     &one,
                     &t,
@@ -97,9 +116,8 @@ fn all_apps_identical_across_thread_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random app/variant/seed probes of the same identity, plus the
-    /// `--scalar` composition: the scalar path is epoch-eligible, so
-    /// `--scalar --threads 4` must equal `--scalar` alone sans epoch.
+    /// Random app/variant/seed probes of the same identity, three ways:
+    /// unobserved serial, observed serial, and committed replay.
     #[test]
     fn threaded_runs_are_bit_identical(
         app_idx in 0usize..8,
@@ -111,33 +129,31 @@ proptest! {
         seed in 1u64..100_000,
     ) {
         let app = App::ALL[app_idx];
-        let base = full_run(app, &config(variant, seed, 0, false));
-        let one = full_run(app, &config(variant, seed, 1, false));
+        let base = full_run(app, &config(variant, seed, 0));
+        let general = full_run(app, &observed(variant, seed));
+        prop_assert_eq!(
+            &base, &general,
+            "{} {:?} seed {}: observed demand body diverged", app.name(), variant, seed
+        );
+        let one = full_run(app, &config(variant, seed, 1));
         prop_assert_eq!(
             (&base.0, &base.1), (&one.0, &one.1),
             "{} {:?} seed {}: threads 1 diverged from serial", app.name(), variant, seed
         );
         for threads in [2usize, 4] {
-            let t = full_run(app, &config(variant, seed, threads, false));
+            let t = full_run(app, &config(variant, seed, threads));
             prop_assert_eq!(
                 &one, &t,
                 "{} {:?} seed {}: threads {} diverged", app.name(), variant, seed, threads
             );
         }
-        let scalar = full_run(app, &config(variant, seed, 0, true));
-        let scalar4 = full_run(app, &config(variant, seed, 4, true));
-        prop_assert_eq!(
-            (&scalar.0, &scalar.1), (&scalar4.0, &scalar4.1),
-            "{} {:?} seed {}: --scalar --threads 4 diverged from --scalar",
-            app.name(), variant, seed
-        );
     }
 
-    /// Checkpoint/resume differential: a threaded run split at a random
-    /// reference cadence (the resume lands mid-epoch-stream) must finish
-    /// with the same checksum and statistics as the uninterrupted serial
-    /// run — and with the same epoch bookkeeping as the unsplit threaded
-    /// run up to the epochs the resumed half re-counts from zero.
+    /// Checkpoint/resume differential: a threaded or observed run split at
+    /// a random reference cadence (the resume lands mid-epoch-stream) must
+    /// finish with the same checksum and statistics as the uninterrupted
+    /// serial run — and with the same epoch bookkeeping as the unsplit
+    /// threaded run up to the epochs the resumed half re-counts from zero.
     #[test]
     fn resumed_threaded_runs_agree(
         app_idx in 0usize..8,
@@ -145,21 +161,25 @@ proptest! {
         cadence in 2_000u64..60_000,
     ) {
         let app = App::ALL[app_idx];
-        let whole = full_run(app, &config(Variant::Optimized, seed, 0, false));
-        for threads in [1usize, 4] {
-            let cfg = config(Variant::Optimized, seed, threads, false);
-            let split = split_run(app, &cfg, cadence);
+        let whole = full_run(app, &config(Variant::Optimized, seed, 0));
+        let splits = [
+            ("threads 1", config(Variant::Optimized, seed, 1)),
+            ("threads 4", config(Variant::Optimized, seed, 4)),
+            ("observed", observed(Variant::Optimized, seed)),
+        ];
+        for (label, cfg) in &splits {
+            let split = split_run(app, cfg, cadence);
             prop_assert_eq!(
                 (&whole.0, &whole.1), (&split.0, &split.1),
-                "{} seed {} cadence {} threads {}: split run diverged",
-                app.name(), seed, cadence, threads
+                "{} seed {} cadence {} {}: split run diverged",
+                app.name(), seed, cadence, label
             );
         }
         // Worker-count invariance holds across the split too (the resumed
         // half's epoch block counts only its own epochs, but identically
         // at every worker count >= 1).
-        let s1 = split_run(app, &config(Variant::Optimized, seed, 1, false), cadence);
-        let s4 = split_run(app, &config(Variant::Optimized, seed, 4, false), cadence);
+        let s1 = split_run(app, &config(Variant::Optimized, seed, 1), cadence);
+        let s4 = split_run(app, &config(Variant::Optimized, seed, 4), cadence);
         prop_assert_eq!(
             &s1, &s4,
             "{} seed {} cadence {}: resumed epoch bookkeeping diverged",

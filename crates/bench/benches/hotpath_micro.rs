@@ -5,7 +5,7 @@
 //! *host* speed; simulated timing is covered by the golden tests.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use memfwd::{BatchDep, BatchOut, Machine, RefBatch, SimConfig, BATCH_CAPACITY};
+use memfwd::{Machine, SimConfig};
 use memfwd_cache::{AccessKind, Hierarchy, HierarchyConfig, MshrFile};
 use memfwd_tagmem::{
     merge_mask, resolve_with_scratch, Addr, FxHashMap, PageMask, SpecView, TaggedMemory,
@@ -156,7 +156,7 @@ fn bench_bitmap_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitmap_scan");
     let mut mem = TaggedMemory::new();
     // Touch two pages so the scan crosses a page boundary in the long
-    // case; all forwarding bits stay clear (the batch-path common case).
+    // case; all forwarding bits stay clear (the common case).
     mem.write_data(Addr(0x10_000), 8, 1);
     mem.write_data(Addr(0x10_000 + PAGE_BYTES as u64), 8, 1);
     group.bench_function("clear_range_4_words", |b| {
@@ -179,58 +179,9 @@ fn bench_bitmap_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_translate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_translate");
-    // A full-capacity load window over one record, span hint set: one
-    // bitmap scan certifies the window, then every op runs the
-    // streamlined path. This is the shape the apps emit per visited node.
-    let mut m = Machine::new(SimConfig::default());
-    let a = m.malloc(BATCH_CAPACITY as u64 * 8);
-    for i in 0..BATCH_CAPACITY as u64 {
-        m.store_word(a.add_words(i), 100 + i);
-    }
-    let mut batch = RefBatch::new();
-    batch.set_span(a, BATCH_CAPACITY as u64);
-    for i in 0..BATCH_CAPACITY as u64 {
-        batch.push_load(a.add_words(i), 8, BatchDep::Ready);
-    }
-    let mut out = BatchOut::new();
-    group.bench_function("load_window_32_span_clear", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&batch), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    // The same window without the span hint: per-op fast-path probes.
-    let mut no_span = RefBatch::new();
-    for i in 0..BATCH_CAPACITY as u64 {
-        no_span.push_load(a.add_words(i), 8, BatchDep::Ready);
-    }
-    group.bench_function("load_window_32_no_span", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&no_span), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    // A dependent chain inside the window (pointer-walk shape).
-    let mut chained = RefBatch::new();
-    chained.set_span(a, 8);
-    let mut prev = chained.push_load(a, 8, BatchDep::Ready);
-    for i in 1..8u64 {
-        prev = chained.push_load(a.add_words(i), 8, BatchDep::Prev(prev as u8));
-    }
-    group.bench_function("load_chain_8_prev_deps", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&chained), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    group.finish();
-}
-
 fn bench_mshr_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("mshr_probe");
-    // A populated MSHR file probed the way a batch of misses probes it:
+    // A populated MSHR file probed the way a run of misses probes it:
     // repeated in_flight checks against the flat lane-chunked array.
     let mut mshr = MshrFile::new(8);
     for i in 0..8u64 {
@@ -366,7 +317,6 @@ criterion_group!(
     bench_cache_probe,
     bench_machine_refs,
     bench_bitmap_scan,
-    bench_batch_translate,
     bench_mshr_probe,
     bench_epoch_conflict_probe,
     bench_epoch_delta_merge,

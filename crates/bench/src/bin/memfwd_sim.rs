@@ -25,10 +25,6 @@ OPTIONS:
     --variant <v>           original|optimized|static (default: original)
     --perfect-forwarding    model the Fig. 10 `Perf` bound
     --no-speculation        disable data-dependence speculation
-    --scalar                force the fully general scalar demand path
-                            (disables the batched/fast path; statistics are
-                            bit-identical either way — this flag exists to
-                            prove it)
     --threads <n|auto>      epoch-parallel worker count for the multi-core
                             execution engine; `auto` uses the host's
                             available parallelism, 0 (the default) runs
@@ -126,7 +122,6 @@ fn parse() -> Result<Cli, String> {
             }
             "--perfect-forwarding" => cfg.sim.perfect_forwarding = true,
             "--no-speculation" => cfg.sim.dependence_speculation = false,
-            "--scalar" => cfg.sim.scalar_path = true,
             "--threads" => {
                 let v = next_val(&mut args, "--threads")?;
                 cfg.sim.epoch_threads =

@@ -63,11 +63,6 @@ OPTIONS:
                             best-of-3 at each epoch worker count in the
                             list, print refs/s and speedup per count, and
                             exit (no sweep; local only)
-    --scalar                force the fully general scalar demand path
-                            for every cell and the selftest (disables the
-                            batched hot path; simulated results are
-                            bit-identical, only host speed changes);
-                            local in-process runs only
     --lint-preflight        before the grid, capture and verify the
                             relocation schedule of every app x variant in
                             the spec at smoke scale; any MF0xx error
@@ -138,7 +133,6 @@ struct Cli {
     curve: Option<Vec<usize>>,
     out: std::path::PathBuf,
     selftest: bool,
-    scalar: bool,
     lint_preflight: bool,
     supervised: bool,
     farm_dir: std::path::PathBuf,
@@ -181,7 +175,6 @@ fn parse() -> Result<Mode, String> {
     let mut curve: Option<Vec<usize>> = None;
     let mut out = std::path::PathBuf::from("BENCH_sweep.json");
     let mut want_selftest = false;
-    let mut scalar = false;
     let mut lint_preflight = false;
     let mut supervised = false;
     let mut farm_dir = std::path::PathBuf::from("target/farm");
@@ -259,7 +252,6 @@ fn parse() -> Result<Mode, String> {
             }
             "--out" => out = std::path::PathBuf::from(next_val(&mut args, "--out")?),
             "--selftest" => want_selftest = true,
-            "--scalar" => scalar = true,
             "--lint-preflight" => lint_preflight = true,
             "--supervised" => supervised = true,
             "--farm-dir" => farm_dir = std::path::PathBuf::from(next_val(&mut args, "--farm-dir")?),
@@ -358,9 +350,6 @@ fn parse() -> Result<Mode, String> {
     if job_timeout_ms.is_some() && submit.is_none() {
         return Err("--job-timeout-ms requires --submit".into());
     }
-    if scalar && (supervised || submit.is_some()) {
-        return Err("--scalar applies to local in-process runs only".into());
-    }
     if threads.is_some() && (supervised || submit.is_some()) {
         return Err("--threads applies to local in-process runs only".into());
     }
@@ -374,7 +363,6 @@ fn parse() -> Result<Mode, String> {
         curve,
         out,
         selftest: want_selftest,
-        scalar,
         lint_preflight,
         supervised,
         farm_dir,
@@ -714,10 +702,6 @@ fn main() {
 
     if cli.lint_preflight {
         run_lint_preflight(&cli.spec);
-    }
-
-    if cli.scalar {
-        memfwd_bench::sweep::set_scalar_path(true);
     }
 
     // Epoch worker count per cell: explicit --threads wins; local sweeps

@@ -76,12 +76,6 @@ pub struct SimConfig {
     pub checkpoint_every: Option<u64>,
     /// Bounded-progress watchdog (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
-    /// Forces every demand reference down the fully general scalar path,
-    /// disabling the streamlined unforwarded fast path. The two paths are
-    /// bit-identical by construction; this escape hatch exists so the
-    /// differential tests (and a suspicious user) can prove it on any run
-    /// via `--scalar`.
-    pub scalar_path: bool,
     /// Worker threads for the epoch-parallel execution engine
     /// (the `epoch` module). `0` (the default) disables speculation entirely:
     /// task groups handed to [`crate::Machine::run_tasks`] execute directly
@@ -203,7 +197,6 @@ impl Default for SimConfig {
             fault_injection: None,
             checkpoint_every: None,
             watchdog: WatchdogConfig::default(),
-            scalar_path: false,
             epoch_threads: 0,
             memory_model: MemoryModel::Sc,
         }
@@ -238,13 +231,6 @@ impl SimConfig {
     /// Returns a copy checkpointing every `refs` demand references.
     pub fn with_checkpoint_every(mut self, refs: u64) -> Self {
         self.checkpoint_every = Some(refs);
-        self
-    }
-
-    /// Returns a copy that forces the fully general scalar demand path
-    /// (the `--scalar` escape hatch used to prove fast-path bit-identity).
-    pub fn with_scalar_path(mut self) -> Self {
-        self.scalar_path = true;
         self
     }
 

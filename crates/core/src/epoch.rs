@@ -1,7 +1,7 @@
 //! Epoch-based speculative parallel execution.
 //!
-//! The batched hot path (PR 7) saturates one host core; this module uses
-//! the rest. An application hands the machine a group of *tasks* — closures
+//! The demand path saturates one host core; this module uses the rest. An
+//! application hands the machine a group of *tasks* — closures
 //! issuing demand references through the [`Demand`] trait — via
 //! [`Machine::run_tasks`]. With `SimConfig::epoch_threads > 0`, worker
 //! threads execute future tasks **speculatively** against a frozen
@@ -20,19 +20,17 @@
 //!   task's writes by patching exactly its written words, in task order
 //!   (serial last-writer-wins falls out). A clean task's op log is
 //!   **replayed** through the pipeline / cache / dependence-speculation
-//!   models — the replay is the general demand path with the functional
-//!   half (chain walk, page translation, data movement) already done, so
-//!   every counter and cycle comes out exactly as direct execution would
-//!   have produced.
+//!   models by the machine's own demand body ([`crate::demand`]), fed the
+//!   chain the interpreter walked, so every counter and cycle comes out
+//!   exactly as direct execution would have produced.
 //! - A **dirty** task (conflict or abort) is discarded and re-executed
 //!   directly on the real machine at its program-order position, which also
 //!   re-raises any genuine machine fault exactly as direct execution would.
 //!
 //! Commit decisions depend only on the task order and each task's
 //! deterministic footprint — never on worker scheduling — so the engine is
-//! **bit-identical** at every thread count, including `--scalar` runs; only
-//! the [`EpochStats`] block distinguishes `epoch_threads == 0` (all zero)
-//! from `>= 1`.
+//! **bit-identical** at every thread count; only the [`EpochStats`] block
+//! distinguishes `epoch_threads == 0` (all zero) from `>= 1`.
 //!
 //! Tasks must be *token-local*: every [`Token`] consumed by a task must
 //! have been produced inside the same task (speculative tokens are
@@ -40,12 +38,11 @@
 //! the task conservatively, which costs a serial replay but never
 //! correctness.
 
-use crate::batch::{BatchDep, BatchOut, RefBatch};
 use crate::config::SimConfig;
+use crate::demand::{Chain, Observers, Timing};
+use crate::fault::MachineFault;
 use crate::machine::Machine;
-use crate::stats::{FwdStats, HOPS_BUCKETS};
-use memfwd_cache::{AccessKind, Hierarchy};
-use memfwd_cpu::{OpClass, Pipeline, SpecQueue, Token};
+use memfwd_cpu::{OpClass, Token};
 use memfwd_tagmem::{
     merge_mask, validate_access, Addr, FxHashMap, Page, PageMask, SpecBase, SpecView, WORD_BYTES,
 };
@@ -58,7 +55,7 @@ use std::sync::mpsc;
 /// interpreter (`SpecExec`) on a worker thread.
 ///
 /// The surface is deliberately the timing-relevant subset of the machine's
-/// API — demand loads/stores, batches, prefetch, compute. Allocation,
+/// API — demand loads/stores, prefetch, compute. Allocation,
 /// relocation and the ISA extensions stay on [`Machine`]: task bodies do
 /// the memory-access work, the host code around [`Machine::run_tasks`]
 /// does the structural work.
@@ -70,10 +67,6 @@ pub trait Demand {
     /// A demand store with an explicit dependence; returns the completion
     /// token.
     fn store_dep(&mut self, addr: Addr, size: u64, val: u64, dep: Token) -> Token;
-
-    /// Consumes a whole reference batch, leaving per-op results in `out`
-    /// (see [`Machine::run_batch`]).
-    fn run_batch(&mut self, batch: &RefBatch, out: &mut BatchOut);
 
     /// Issues a block prefetch of `lines` cache lines at `addr`.
     fn prefetch(&mut self, addr: Addr, lines: u64);
@@ -127,10 +120,6 @@ impl Demand for Machine {
         Machine::store_dep(self, addr, size, val, dep)
     }
 
-    fn run_batch(&mut self, batch: &RefBatch, out: &mut BatchOut) {
-        Machine::run_batch(self, batch, out)
-    }
-
     fn prefetch(&mut self, addr: Addr, lines: u64) {
         Machine::prefetch(self, addr, lines)
     }
@@ -162,6 +151,7 @@ enum Op {
     Demand {
         is_store: bool,
         initial: Addr,
+        size: u64,
         final_addr: Addr,
         dep: u32,
         hop_lo: u32,
@@ -198,10 +188,9 @@ struct SpecExec<'a> {
     ops: Vec<Op>,
     hop_words: Vec<u64>,
     aborted: bool,
-    /// Walks longer than this are aborted to the direct path: past
-    /// `hop_limit` the real machine charges the accurate cycle check (and
-    /// past `hard_hop_budget` it faults), neither of which the replay fold
-    /// models.
+    /// Walks longer than this are aborted to the direct path, so no
+    /// replayed walk reaches the accurate cycle check (past `hop_limit`)
+    /// or the hard budget fault (past `hard_hop_budget`).
     hop_cap: u32,
 }
 
@@ -236,9 +225,9 @@ impl<'a> SpecExec<'a> {
     }
 
     /// The speculative demand reference: functional chain walk through the
-    /// overlay, data movement, op logging. Any condition the replay fold
-    /// cannot reproduce bit-identically (faults, cycle checks, budget
-    /// overruns) aborts the task instead.
+    /// overlay, data movement, op logging. Any condition the commit replay
+    /// does not run (faults, cycle checks, budget overruns) aborts the task
+    /// instead.
     fn demand(
         &mut self,
         is_store: bool,
@@ -300,6 +289,7 @@ impl<'a> SpecExec<'a> {
         self.ops.push(Op::Demand {
             is_store,
             initial: addr,
+            size,
             final_addr,
             dep,
             hop_lo: hop_lo as u32,
@@ -326,24 +316,6 @@ impl Demand for SpecExec<'_> {
 
     fn store_dep(&mut self, addr: Addr, size: u64, val: u64, dep: Token) -> Token {
         self.demand(true, addr, size, val, dep).1
-    }
-
-    fn run_batch(&mut self, batch: &RefBatch, out: &mut BatchOut) {
-        // The batch path is bit-identical to the scalar sequence by
-        // construction, so speculation interprets it *as* the scalar
-        // sequence; the replay fold reproduces whichever timing path the
-        // direct machine would have picked (they agree to the bit).
-        out.reset();
-        for i in 0..batch.len() {
-            let op = batch.op(i);
-            let dep = match op.dep {
-                BatchDep::Ready => Token::ready(),
-                BatchDep::External(t) => t,
-                BatchDep::Prev(j) => out.tok(j as usize),
-            };
-            let (v, t) = self.demand(op.is_store, op.addr, u64::from(op.size), op.val, dep);
-            out.push_result(v, t);
-        }
     }
 
     fn prefetch(&mut self, addr: Addr, lines: u64) {
@@ -379,20 +351,45 @@ impl Demand for SpecExec<'_> {
     }
 }
 
-/// Replays one clean task's op log through the timing models. This is the
-/// general demand path (`Machine::demand_attempt`) with its functional half
-/// — validation, chain walk, page translation, data movement — already
-/// performed by the speculative interpreter: the fold below executes the
-/// remaining timing statements in the same order with the same arguments,
-/// which is what makes the committed run bit-identical to direct execution.
-#[allow(clippy::too_many_arguments)]
+/// A logged forwarding chain: the hop words a speculative walk touched and
+/// where it ended. The data moved during speculation, so the access half
+/// is a no-op.
+struct Logged<'a> {
+    hop_words: &'a [u64],
+    next: usize,
+    final_addr: Addr,
+}
+
+impl Chain for Logged<'_> {
+    fn follow(&mut self, _cur: Addr) -> Option<Addr> {
+        if self.next == self.hop_words.len() {
+            return None;
+        }
+        self.next += 1;
+        Some(
+            self.hop_words
+                .get(self.next)
+                .map_or(self.final_addr, |&w| Addr(w)),
+        )
+    }
+
+    fn resolve(&mut self, _addr: Addr, _scratch: &mut Vec<Addr>) -> Result<Addr, MachineFault> {
+        Ok(self.final_addr)
+    }
+
+    fn access(&mut self, _is_store: bool, _final_addr: Addr, _size: u64, _val: u64) -> u64 {
+        0
+    }
+}
+
+/// Replays one clean task's op log through the timing models. Demand
+/// references run the machine's own unobserved demand body over the logged
+/// chain; the interpreter aborted every walk that could fault or reach the
+/// cycle check, so none of them faults here.
 fn replay_task(
     cfg: &SimConfig,
-    pipe: &mut Pipeline,
-    hier: &mut Hierarchy,
-    spec: &mut SpecQueue,
-    stats: &mut FwdStats,
-    last_store_resolve: &mut u64,
+    timing: &mut Timing,
+    obs: &mut Observers,
     ops: &[Op],
     hop_words: &[u64],
     completions: &mut Vec<u64>,
@@ -410,90 +407,45 @@ fn replay_task(
             Op::Demand {
                 is_store,
                 initial,
+                size,
                 final_addr,
                 dep,
                 hop_lo,
                 hops,
             } => {
-                let d = pipe.dispatch();
-                let mut start = d.max(cycle_of(completions, dep));
-                if !cfg.dependence_speculation && !is_store {
-                    start = start.max(*last_store_resolve);
-                }
-                let mut t = start;
-                let mut walk_miss = false;
-                for &wb in &hop_words[hop_lo as usize..(hop_lo + hops) as usize] {
-                    let acc = hier.access(t, wb, AccessKind::Load);
-                    walk_miss |= acc.l1_miss();
-                    t = acc.complete_at + cfg.fwd_hop_penalty;
-                }
-                let fwd_cycles = t - start;
-                let kind = if is_store {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
+                let mut chain = Logged {
+                    hop_words: &hop_words[hop_lo as usize..(hop_lo + hops) as usize],
+                    next: 0,
+                    final_addr,
                 };
-                let acc = hier.access(t, final_addr.0, kind);
-                let l1_miss = walk_miss || acc.l1_miss();
-                let mut complete = acc.complete_at;
-                if is_store {
-                    spec.on_store(
-                        initial.word_base().0,
-                        final_addr.word_base().0,
-                        acc.complete_at,
-                    );
-                    *last_store_resolve = (*last_store_resolve).max(acc.complete_at);
-                } else if cfg.dependence_speculation {
-                    if let Some(v) =
-                        spec.check_load(start, initial.word_base().0, final_addr.word_base().0)
-                    {
-                        stats.misspeculations += 1;
-                        pipe.replay(v.store_resolved_at);
-                        complete = complete.max(v.store_resolved_at + cfg.pipeline.replay_penalty);
-                    }
-                }
-                let bucket = (hops as usize).min(HOPS_BUCKETS - 1);
-                if is_store {
-                    stats.stores += 1;
-                    stats.store_cycles += complete - start;
-                    stats.store_fwd_cycles += fwd_cycles;
-                    stats.store_hops[bucket] += 1;
-                    if hops > 0 {
-                        stats.forwarded_stores += 1;
-                    }
-                    pipe.complete(OpClass::Store, d, complete, l1_miss);
-                } else {
-                    stats.loads += 1;
-                    stats.load_cycles += complete - start;
-                    stats.load_fwd_cycles += fwd_cycles;
-                    stats.load_hops[bucket] += 1;
-                    if hops > 0 {
-                        stats.forwarded_loads += 1;
-                    }
-                    pipe.complete(OpClass::Load, d, complete, l1_miss);
-                }
-                completions.push(complete);
+                let dep = Token::at(cycle_of(completions, dep));
+                let (_, tok) = timing
+                    .demand::<false>(cfg, obs, &mut chain, is_store, initial, size, 0, dep)
+                    .expect("speculation aborts every walk that can fault");
+                completions.push(tok.cycle());
             }
             Op::Compute { n } => {
                 for _ in 0..n {
-                    pipe.compute(0);
+                    timing.pipe.compute(0);
                 }
-                stats.computes += n;
+                timing.stats.computes += n;
                 completions.push(0);
             }
             Op::ComputeDep { n, dep } => {
                 let mut t = cycle_of(completions, dep);
                 for _ in 0..n {
-                    t = pipe.compute(t);
+                    t = timing.pipe.compute(t);
                 }
-                stats.computes += n;
+                timing.stats.computes += n;
                 completions.push(t);
             }
             Op::Prefetch { addr, lines, dep } => {
-                let d = pipe.dispatch();
-                hier.prefetch_block(d.max(cycle_of(completions, dep)), addr.0, lines);
-                stats.prefetches += 1;
-                pipe.complete(OpClass::Prefetch, d, d + 1, false);
+                let d = timing.pipe.dispatch();
+                timing
+                    .hier
+                    .prefetch_block(d.max(cycle_of(completions, dep)), addr.0, lines);
+                timing.stats.prefetches += 1;
+                timing.pipe.complete(OpClass::Prefetch, d, d + 1, false);
                 completions.push(d + 1);
             }
         }
@@ -501,24 +453,6 @@ fn replay_task(
 }
 
 impl Machine {
-    /// Whether the machine's current observer set permits speculative task
-    /// execution. The speculative interpreter models none of the optional
-    /// observers, so any attached observer sends every task down the direct
-    /// path (counted in [`crate::EpochStats::direct`]). Unlike the demand
-    /// fast path, `--scalar` does *not* disqualify speculation: the replay
-    /// fold mirrors the general path, which is bit-identical to the fast
-    /// path under exactly these conditions.
-    fn epoch_ok(&self) -> bool {
-        self.injector.is_none()
-            && self.pages.is_none()
-            && self.trace.is_none()
-            && !self.traps_enabled
-            && self.fault_handler.is_none()
-            && self.cfg.store_buffer_entries.is_none()
-            && self.cfg.watchdog.stall_cycles.is_none()
-            && self.cfg.watchdog.walk_hop_budget.is_none()
-    }
-
     /// Executes `n` independent tasks, in task order as far as any observer
     /// can tell, using up to `SimConfig::epoch_threads` speculation workers.
     ///
@@ -553,7 +487,9 @@ impl Machine {
             return (0..n).map(|i| f(i, self)).collect();
         }
         self.epoch_stats.epochs += 1;
-        if !self.epoch_ok() {
+        // The speculative interpreter models none of the optional
+        // observers: any attached one sends every task down the direct path.
+        if !self.fast_ok {
             self.epoch_stats.direct += n as u64;
             return (0..n).map(|i| f(i, self)).collect();
         }
@@ -571,11 +507,8 @@ impl Machine {
             let m = &mut *self;
             let cfg = &m.cfg;
             let base = m.mem.spec_base();
-            let pipe = &mut m.pipe;
-            let hier = &mut m.hier;
-            let spec = &mut m.spec;
-            let stats = &mut m.stats;
-            let lsr = &mut m.last_store_resolve;
+            let timing = &mut m.timing;
+            let obs = &mut m.obs;
             let epoch_stats = &mut m.epoch_stats;
 
             let next_task = AtomicUsize::new(0);
@@ -629,17 +562,7 @@ impl Machine {
                         let mut r = parked[next_commit].take().expect("probed above");
                         r.delta.record_writes(&mut committed_writes);
                         pending.append(&mut r.delta.pages);
-                        replay_task(
-                            cfg,
-                            pipe,
-                            hier,
-                            spec,
-                            stats,
-                            lsr,
-                            &r.ops,
-                            &r.hop_words,
-                            &mut completions,
-                        );
+                        replay_task(cfg, timing, obs, &r.ops, &r.hop_words, &mut completions);
                         epoch_stats.committed += 1;
                         results[next_commit] = Some(r.value.expect("clean task has a value"));
                         next_commit += 1;
@@ -663,11 +586,8 @@ impl Machine {
                 }
                 replay_task(
                     &self.cfg,
-                    &mut self.pipe,
-                    &mut self.hier,
-                    &mut self.spec,
-                    &mut self.stats,
-                    &mut self.last_store_resolve,
+                    &mut self.timing,
+                    &mut self.obs,
                     &r.ops,
                     &r.hop_words,
                     &mut completions,
@@ -702,7 +622,6 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::stats::RunStats;
-    use crate::RefBatch;
 
     /// Zeroes the epoch block so a threaded run can be compared field-for-
     /// field against a `threads == 0` run (their only legitimate delta).
@@ -717,18 +636,9 @@ mod tests {
         let bases: Vec<Addr> = (0..8).map(|_| m.malloc(8192)).collect();
         let sums = m.run_tasks(bases.len(), |i, d| {
             let b = bases[i];
-            let mut batch = RefBatch::new();
-            batch.set_span(b, 16);
             for w in 0..16u64 {
-                batch.push_store(
-                    b.add_words(w),
-                    8,
-                    (i as u64) * 100 + w,
-                    crate::BatchDep::Ready,
-                );
+                d.store_word(b.add_words(w), (i as u64) * 100 + w);
             }
-            let mut out = BatchOut::new();
-            d.run_batch(&batch, &mut out);
             let mut acc = 0u64;
             let mut tok = Token::ready();
             for w in 0..16u64 {
@@ -960,25 +870,5 @@ mod tests {
         let s = m.finish();
         assert_eq!(s.epoch.direct, 3);
         assert_eq!(s.epoch.committed, 0);
-    }
-
-    /// Scalar mode composes with speculation: `--scalar --threads 4` equals
-    /// `--scalar` alone, bit for bit.
-    #[test]
-    fn scalar_and_threads_compose() {
-        let run = |threads: usize| {
-            let mut m = Machine::new(
-                SimConfig::default()
-                    .with_scalar_path()
-                    .with_epoch_threads(threads),
-            );
-            let sum = disjoint_workload(&mut m);
-            (sum, m.finish())
-        };
-        let (sum0, s0) = run(0);
-        let (sum4, s4) = run(4);
-        assert_eq!(sum4, sum0);
-        assert_eq!(sans_epoch(s4), s0);
-        assert_eq!(s4.epoch.committed, 8);
     }
 }

@@ -42,9 +42,9 @@
 // before panicking); bare `unwrap()` stays confined to `#[cfg(test)]`.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-mod batch;
 mod cluster;
 mod config;
+mod demand;
 mod epoch;
 pub mod fault;
 pub mod inject;
@@ -63,7 +63,6 @@ mod stats;
 mod trace;
 mod trap;
 
-pub use batch::{BatchDep, BatchOp, BatchOut, RefBatch, BATCH_CAPACITY};
 pub use cluster::{subtree_cluster, TreeDesc};
 pub use config::{MemoryModel, SimConfig, WatchdogConfig};
 pub use epoch::Demand;

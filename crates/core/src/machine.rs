@@ -2,15 +2,16 @@
 //! pipeline, with memory forwarding wired into every demand reference.
 
 use crate::config::SimConfig;
+use crate::demand::{Live, Observers, Timing};
 use crate::fault::{record_last_fault, MachineFault};
 use crate::inject::{Corruption, InjectKind, Injector};
 use crate::paging::PageCache;
-use crate::stats::{EpochStats, FwdStats, RunStats, HOPS_BUCKETS};
-use crate::trace::{Trace, TraceKind, TraceRecord};
+use crate::stats::{EpochStats, FwdStats, RunStats};
+use crate::trace::{Trace, TraceRecord};
 use crate::trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
-use memfwd_cache::{AccessKind, Hierarchy};
-use memfwd_cpu::{OpClass, Pipeline, SpecQueue, Token};
-use memfwd_tagmem::{validate_access, Addr, Heap, PageCursor, Pool, TaggedMemory, WORD_BYTES};
+use memfwd_cache::AccessKind;
+use memfwd_cpu::{OpClass, Token};
+use memfwd_tagmem::{Addr, Heap, PageCursor, Pool, TaggedMemory, WORD_BYTES};
 use std::collections::HashSet;
 
 /// The execution-driven simulator.
@@ -37,50 +38,20 @@ pub struct Machine {
     pub(crate) cfg: SimConfig,
     pub(crate) mem: TaggedMemory,
     pub(crate) heap: Heap,
-    pub(crate) hier: Hierarchy,
-    pub(crate) pipe: Pipeline,
-    pub(crate) spec: SpecQueue,
-    pub(crate) stats: FwdStats,
-    pub(crate) traps_enabled: bool,
-    pub(crate) trap_log: Vec<TrapInfo>,
-    pub(crate) last_store_resolve: u64,
-    pub(crate) pages: Option<PageCache>,
-    pub(crate) store_buf: std::collections::VecDeque<u64>,
-    pub(crate) trace: Option<Trace>,
+    pub(crate) timing: Timing,
+    pub(crate) obs: Observers,
     pub(crate) fault_handler: Option<FaultHandler>,
     pub(crate) injector: Option<Injector>,
-    /// Sliding window of forwarding-hop counts of the most recent demand
-    /// references, for the watchdog's walk-storm check.
-    pub(crate) walk_hops_window: std::collections::VecDeque<u64>,
-    pub(crate) walk_hops_sum: u64,
-    /// Reusable scratch for the chain walk's accurate cycle check, so even
-    /// walks that trip the hop limit allocate nothing in steady state.
-    pub(crate) walk_scratch: Vec<Addr>,
     /// True when no observer (injector, pager, tracer, traps, handler,
-    /// store buffer, watchdog, `--scalar`) is attached, so demand
-    /// references may take the streamlined unforwarded fast path.
-    /// Recomputed by [`Machine::recompute_fast_ok`] at every toggle site.
+    /// store buffer, watchdog) is attached, so demand references run the
+    /// unobserved instance of the demand body and task groups may
+    /// speculate. Recomputed by [`Machine::recompute_fast_ok`] at every
+    /// toggle site.
     pub(crate) fast_ok: bool,
-    /// Page-run translation cache for the fast path: consecutive references
-    /// to one page pay a single page-table lookup.
+    /// Page-run translation cache of the demand chain walk.
     pub(crate) ref_cursor: PageCursor,
     /// Accounting for the epoch-parallel engine ([`crate::epoch`]).
     pub(crate) epoch_stats: EpochStats,
-}
-
-/// Outcome of a timed forwarding-chain walk.
-struct Walk {
-    /// Where the chain ended.
-    final_addr: Addr,
-    /// Simulated time after the walk.
-    t: u64,
-    /// Hops taken (0 = unforwarded).
-    hops: u32,
-    /// Whether any hop missed L1.
-    l1_miss: bool,
-    /// The data word at the final address — the walk's last probe already
-    /// read it, so loads need no second page lookup.
-    final_word: u64,
 }
 
 impl Machine {
@@ -89,21 +60,13 @@ impl Machine {
         let mut m = Machine {
             mem: TaggedMemory::new(),
             heap: Heap::with_policy(cfg.heap_base, cfg.heap_capacity, cfg.alloc_policy),
-            hier: Hierarchy::new(cfg.hierarchy),
-            pipe: Pipeline::new(cfg.pipeline),
-            spec: SpecQueue::new(),
-            stats: FwdStats::default(),
-            traps_enabled: false,
-            trap_log: Vec::new(),
-            last_store_resolve: 0,
-            pages: cfg.paging.map(PageCache::new),
-            store_buf: std::collections::VecDeque::new(),
-            trace: None,
+            timing: Timing::new(&cfg),
+            obs: Observers {
+                pages: cfg.paging.map(PageCache::new),
+                ..Observers::default()
+            },
             fault_handler: None,
             injector: cfg.fault_injection.map(Injector::new),
-            walk_hops_window: std::collections::VecDeque::new(),
-            walk_hops_sum: 0,
-            walk_scratch: Vec::new(),
             fast_ok: false,
             ref_cursor: PageCursor::empty(),
             epoch_stats: EpochStats::default(),
@@ -118,28 +81,19 @@ impl Machine {
         &self.cfg
     }
 
-    /// Recomputes [`Machine::fast_ok`]. The fast path is legal only when
-    /// every optional observer that the general path consults is absent, so
-    /// that the streamlined hop-0 body is *exactly* the general body with
-    /// its dead branches folded away — the source of the two paths'
-    /// bit-identity. Called from every site that attaches or detaches an
-    /// observer; a stale `false` only costs speed, never correctness.
+    /// Recomputes [`Machine::fast_ok`]: every optional observer the
+    /// observed demand body consults must be absent. Called from every site
+    /// that attaches or detaches an observer; a stale `false` only costs
+    /// speed, never correctness.
     pub(crate) fn recompute_fast_ok(&mut self) {
-        self.fast_ok = !self.cfg.scalar_path
-            && self.injector.is_none()
-            && self.pages.is_none()
-            && self.trace.is_none()
-            && !self.traps_enabled
+        self.fast_ok = self.injector.is_none()
+            && self.obs.pages.is_none()
+            && self.obs.trace.is_none()
+            && !self.obs.traps_enabled
             && self.fault_handler.is_none()
             && self.cfg.store_buffer_entries.is_none()
             && self.cfg.watchdog.stall_cycles.is_none()
             && self.cfg.watchdog.walk_hop_budget.is_none();
-    }
-
-    /// Whether demand references are currently eligible for the
-    /// streamlined unforwarded fast path (diagnostics/tests).
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_ok
     }
 
     /// Cache line size in bytes — applications use this for clustering and
@@ -151,7 +105,7 @@ impl Machine {
 
     /// Current front-end cycle (a lower bound on simulated time).
     pub fn now(&self) -> u64 {
-        self.pipe.now()
+        self.timing.pipe.now()
     }
 
     /// Read-only view of the tagged memory (for inspection and tests).
@@ -167,418 +121,18 @@ impl Machine {
     /// Statistics accumulated so far (pipeline totals appear only in
     /// [`Machine::finish`]).
     pub fn fwd_stats(&self) -> &FwdStats {
-        &self.stats
+        &self.timing.stats
     }
 
     // ------------------------------------------------------------------
     // Demand references with forwarding.
     // ------------------------------------------------------------------
 
-    /// Walks the forwarding chain starting at `addr` with full timing:
-    /// each hop reads the old word through the cache (polluting it) and
-    /// pays the exception-dispatch penalty. On a genuine cycle or an
-    /// exceeded [`SimConfig::hard_hop_budget`], returns the typed fault
-    /// plus the time already spent walking (so the caller can retire the
-    /// dispatched slot honestly).
-    fn try_walk_chain(&mut self, addr: Addr, mut t: u64) -> Result<Walk, (MachineFault, u64)> {
-        let mut cur = addr;
-        let mut hops = 0u32;
-        let mut l1_miss = false;
-        let mut counter = 0u32;
-        let mut checking = false;
-        let final_word;
-        loop {
-            // One combined page lookup yields the word and its forwarding
-            // bit together (the old fbit-probe-then-read hit the page map
-            // twice per hop).
-            let (fwd, fbit) = self.mem.read_word_tagged(cur);
-            if !fbit {
-                // The word just read is the data at the final address; hand
-                // it back so a whole-word load needs no second page lookup.
-                final_word = fwd;
-                break;
-            }
-            if let Some(p) = self.pages.as_mut() {
-                t += p.touch(cur);
-            }
-            let acc = self.hier.access(t, cur.word_base().0, AccessKind::Load);
-            l1_miss |= acc.l1_miss();
-            t = acc.complete_at + self.cfg.fwd_hop_penalty;
-            let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
-            if let Some(budget) = self.cfg.hard_hop_budget {
-                if hops > budget {
-                    let fault = MachineFault::HopLimitExceeded {
-                        at: cur.word_base(),
-                        hops,
-                    };
-                    return Err((fault, t));
-                }
-            }
-            counter += 1;
-            if checking {
-                if self.walk_scratch.contains(&next.word_base()) {
-                    let fault = MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    };
-                    return Err((fault, t));
-                }
-                self.walk_scratch.push(next.word_base());
-            } else if counter > self.cfg.hop_limit {
-                // Hop-limit exception: accurate software cycle check,
-                // tracked in the machine's reusable scratch buffer.
-                t += self.cfg.cycle_check_penalty;
-                self.walk_scratch.clear();
-                self.walk_scratch.push(cur.word_base());
-                self.walk_scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
-            }
-            cur = next;
-        }
-        Ok(Walk {
-            final_addr: cur,
-            t,
-            hops,
-            l1_miss,
-            final_word,
-        })
-    }
-
-    /// One attempt at a demand reference: validates, walks the forwarding
-    /// chain, performs the access. Raised faults are returned without
-    /// handler involvement — [`Machine::try_demand`] owns delivery/retry.
-    fn demand_attempt(
-        &mut self,
-        is_store: bool,
-        addr: Addr,
-        size: u64,
-        val: u64,
-        dep: Token,
-    ) -> Result<(u64, Token), MachineFault> {
-        if addr.is_null() {
-            return Err(MachineFault::NullDeref { is_store });
-        }
-        validate_access(addr, size)?;
-        let class = if is_store {
-            OpClass::Store
-        } else {
-            OpClass::Load
-        };
-        let d = self.pipe.dispatch();
-        let mut start = d.max(dep.cycle());
-        if !self.cfg.dependence_speculation && !is_store {
-            // Conservative machine: a load may not issue until every earlier
-            // store's final address is known.
-            start = start.max(self.last_store_resolve);
-        }
-
-        let walk = if self.cfg.perfect_forwarding {
-            match memfwd_tagmem::resolve_with_scratch(
-                &self.mem,
-                addr,
-                memfwd_tagmem::DEFAULT_HOP_LIMIT,
-                &mut self.walk_scratch,
-            ) {
-                Ok(r) => {
-                    let (w, _) = self.mem.read_word_tagged(r.final_addr);
-                    Ok(Walk {
-                        final_addr: r.final_addr,
-                        t: start,
-                        hops: 0,
-                        l1_miss: false,
-                        final_word: w,
-                    })
-                }
-                Err(c) => Err((MachineFault::from(c), start)),
-            }
-        } else {
-            self.try_walk_chain(addr, start)
-        };
-        let Walk {
-            final_addr,
-            t: t_walk,
-            hops,
-            l1_miss: walk_miss,
-            final_word,
-        } = match walk {
-            Ok(w) => w,
-            Err((fault, t)) => {
-                // Retire the dispatched slot as completing when the walk
-                // aborted, so the pipeline stays consistent across a fault.
-                self.pipe.complete(class, d, t.max(start) + 1, false);
-                return Err(fault);
-            }
-        };
-        // A healthy chain preserves the access offset, so the final address
-        // is aligned iff the (already validated) initial address was. A
-        // corrupted forwarding word can land anywhere: re-validate so the
-        // data access below cannot trip on an unchecked address. An
-        // unforwarded access kept its already-checked address.
-        if final_addr != addr {
-            if final_addr.is_null() {
-                self.pipe.complete(class, d, t_walk.max(start) + 1, false);
-                return Err(MachineFault::NullDeref { is_store });
-            }
-            if let Err(e) = validate_access(final_addr, size) {
-                self.pipe.complete(class, d, t_walk.max(start) + 1, false);
-                return Err(MachineFault::from(e));
-            }
-        }
-        let fwd_cycles = t_walk - start;
-
-        // Watchdog: account this walk in the sliding hop window and raise a
-        // typed fault when the window's hop volume explodes — a forwarding
-        // livelock signature that per-access checks cannot see.
-        if let Some(budget) = self.cfg.watchdog.walk_hop_budget {
-            let window = self.cfg.watchdog.walk_window.max(1);
-            self.walk_hops_window.push_back(u64::from(hops));
-            self.walk_hops_sum += u64::from(hops);
-            while self.walk_hops_window.len() as u64 > window {
-                let oldest = self.walk_hops_window.pop_front().unwrap_or(0);
-                self.walk_hops_sum -= oldest;
-            }
-            if self.walk_hops_sum > budget {
-                self.pipe.complete(class, d, t_walk.max(start) + 1, false);
-                return Err(MachineFault::WalkStorm {
-                    hops: self.walk_hops_sum,
-                    window,
-                });
-            }
-        }
-
-        let kind = if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let mut t_walk = t_walk;
-        if let Some(p) = self.pages.as_mut() {
-            t_walk += p.touch(final_addr);
-        }
-        // Optional store buffer: a store is admitted as soon as a buffer
-        // entry frees up and graduates on admission; the cache access
-        // drains in the background.
-        let mut buffered_store = false;
-        if is_store {
-            if let Some(cap) = self.cfg.store_buffer_entries {
-                buffered_store = true;
-                while self.store_buf.front().is_some_and(|&d| d <= t_walk) {
-                    self.store_buf.pop_front();
-                }
-                if self.store_buf.len() >= cap {
-                    let earliest = self.store_buf.pop_front().expect("non-empty");
-                    t_walk = t_walk.max(earliest);
-                }
-            }
-        }
-        let acc = self.hier.access(t_walk, final_addr.0, kind);
-        let l1_miss = if buffered_store {
-            false // graduation does not wait for a buffered store's miss
-        } else {
-            walk_miss || acc.l1_miss()
-        };
-        let mut complete = if buffered_store {
-            self.store_buf.push_back(acc.complete_at);
-            t_walk + 1
-        } else {
-            acc.complete_at
-        };
-
-        let out;
-        if is_store {
-            self.mem.write_data(final_addr, size, val);
-            self.spec.on_store(
-                addr.word_base().0,
-                final_addr.word_base().0,
-                acc.complete_at,
-            );
-            self.last_store_resolve = self.last_store_resolve.max(acc.complete_at);
-            out = 0;
-        } else {
-            // The walk's last probe already fetched the word at the final
-            // address; extract the little-endian field instead of paying a
-            // second page translation.
-            out = if size == WORD_BYTES {
-                final_word
-            } else {
-                (final_word >> (8 * (final_addr.0 & 7))) & ((1u64 << (8 * size)) - 1)
-            };
-            debug_assert_eq!(out, self.mem.read_data(final_addr, size));
-            if self.cfg.dependence_speculation {
-                if let Some(v) =
-                    self.spec
-                        .check_load(start, addr.word_base().0, final_addr.word_base().0)
-                {
-                    self.stats.misspeculations += 1;
-                    self.pipe.replay(v.store_resolved_at);
-                    complete = complete.max(v.store_resolved_at + self.cfg.pipeline.replay_penalty);
-                }
-            }
-        }
-
-        if hops > 0 && self.traps_enabled {
-            complete += self.cfg.trap_penalty;
-            self.stats.traps_taken += 1;
-            if self.trap_log.len() < 1 << 20 {
-                self.trap_log.push(TrapInfo {
-                    initial: addr,
-                    final_addr,
-                    hops,
-                    is_store,
-                });
-            }
-        }
-
-        // Watchdog: a reference stalled past the configured bound raises a
-        // typed fault instead of silently absorbing an unbounded latency.
-        if let Some(stall) = self.cfg.watchdog.stall_cycles {
-            if complete.saturating_sub(start) > stall {
-                self.pipe.complete(class, d, complete, l1_miss);
-                return Err(MachineFault::NoProgress {
-                    at: addr,
-                    stalled: complete - start,
-                });
-            }
-        }
-
-        if let Some(tr) = self.trace.as_mut() {
-            tr.push(TraceRecord {
-                cycle: start,
-                kind: if is_store {
-                    TraceKind::Store
-                } else {
-                    TraceKind::Load
-                },
-                initial: addr,
-                final_addr,
-                hops,
-                l1_miss,
-                dep_cycle: dep.cycle(),
-                complete_cycle: complete,
-            });
-        }
-
-        let bucket = (hops as usize).min(HOPS_BUCKETS - 1);
-        if is_store {
-            self.stats.stores += 1;
-            self.stats.store_cycles += complete - start;
-            self.stats.store_fwd_cycles += fwd_cycles;
-            self.stats.store_hops[bucket] += 1;
-            if hops > 0 {
-                self.stats.forwarded_stores += 1;
-            }
-            self.pipe.complete(OpClass::Store, d, complete, l1_miss);
-        } else {
-            self.stats.loads += 1;
-            self.stats.load_cycles += complete - start;
-            self.stats.load_fwd_cycles += fwd_cycles;
-            self.stats.load_hops[bucket] += 1;
-            if hops > 0 {
-                self.stats.forwarded_loads += 1;
-            }
-            self.pipe.complete(OpClass::Load, d, complete, l1_miss);
-        }
-        Ok((out, Token::at(complete)))
-    }
-
-    /// The streamlined demand path for the overwhelmingly common case: an
-    /// unforwarded reference on a machine with no observers attached
-    /// ([`Machine::fast_ok`]). Returns `None` — having changed nothing but
-    /// the page cursor, which is not architectural state — whenever any
-    /// precondition fails, and the caller falls through to the general
-    /// path.
-    ///
-    /// Bit-identity argument: under `fast_ok` the general path's optional
-    /// branches (injector, pager, tracer, trap log, store buffer, watchdog,
-    /// fault delivery) are all no-ops, and with the forwarding bit clear
-    /// the walk is zero hops with `final_addr == addr`, `fwd_cycles == 0`
-    /// and `final_word` equal to the word just probed — under perfect
-    /// forwarding the resolve degenerates to the same thing. What remains
-    /// of the general body is exactly the sequence below, in the same
-    /// order, so every counter, cache line, pipeline slot and speculation
-    /// entry evolves identically.
-    pub(crate) fn demand_fast(
-        &mut self,
-        is_store: bool,
-        addr: Addr,
-        size: u64,
-        val: u64,
-        dep: Token,
-    ) -> Option<(u64, Token)> {
-        if addr.is_null() || validate_access(addr, size).is_err() {
-            return None;
-        }
-        // Pure pre-probe: word + forwarding bit through the run cursor (one
-        // page lookup for a whole same-page run of references).
-        let mut cur = self.ref_cursor;
-        let (word, fbit) = self.mem.read_word_tagged_run(addr, &mut cur);
-        self.ref_cursor = cur;
-        if fbit {
-            return None;
-        }
-        let d = self.pipe.dispatch();
-        let mut start = d.max(dep.cycle());
-        if !self.cfg.dependence_speculation && !is_store {
-            start = start.max(self.last_store_resolve);
-        }
-        let wb = addr.word_base().0;
-        let kind = if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let acc = self.hier.access(start, wb, kind);
-        let mut complete = acc.complete_at;
-        let out;
-        if is_store {
-            self.mem.write_data(addr, size, val);
-            self.spec.on_store(wb, wb, acc.complete_at);
-            self.last_store_resolve = self.last_store_resolve.max(acc.complete_at);
-            self.stats.stores += 1;
-            self.stats.store_cycles += complete - start;
-            self.stats.store_hops[0] += 1;
-            self.pipe
-                .complete(OpClass::Store, d, complete, acc.l1_miss());
-            out = 0;
-        } else {
-            out = if size == WORD_BYTES {
-                word
-            } else {
-                (word >> (8 * (addr.0 & 7))) & ((1u64 << (8 * size)) - 1)
-            };
-            debug_assert_eq!(out, self.mem.read_data(addr, size));
-            if self.cfg.dependence_speculation {
-                if let Some(v) = self.spec.check_load(start, wb, wb) {
-                    self.stats.misspeculations += 1;
-                    self.pipe.replay(v.store_resolved_at);
-                    complete = complete.max(v.store_resolved_at + self.cfg.pipeline.replay_penalty);
-                }
-            }
-            self.stats.loads += 1;
-            self.stats.load_cycles += complete - start;
-            self.stats.load_hops[0] += 1;
-            self.pipe
-                .complete(OpClass::Load, d, complete, acc.l1_miss());
-        }
-        Some((out, Token::at(complete)))
-    }
-
-    /// One demand reference through the full fault machinery: injection at
-    /// entry, then attempt; on fault, delivery to the registered supervisor
-    /// handler with bounded retries (paper §3.2 recoverable traps).
-    pub(crate) fn try_demand_entry(
-        &mut self,
-        is_store: bool,
-        addr: Addr,
-        size: u64,
-        val: u64,
-        dep: Token,
-    ) -> Result<(u64, Token), MachineFault> {
-        self.try_demand(is_store, addr, size, val, dep)
-    }
-
+    /// One demand reference through the full fault machinery. A machine
+    /// with no observer attached runs the unobserved instance of the demand
+    /// body directly: with no injector and no handler, the fault loop of
+    /// [`Machine::try_demand_observed`] would add nothing.
+    #[inline]
     fn try_demand(
         &mut self,
         is_store: bool,
@@ -588,14 +142,29 @@ impl Machine {
         dep: Token,
     ) -> Result<(u64, Token), MachineFault> {
         if self.fast_ok {
-            if let Some(out) = self.demand_fast(is_store, addr, size, val, dep) {
-                return Ok(out);
-            }
+            self.demand_once::<false>(is_store, addr, size, val, dep)
+        } else {
+            self.try_demand_observed(is_store, addr, size, val, dep)
         }
+    }
+
+    /// The observed demand path: injection at entry, then the observed
+    /// instance of the demand body; on fault, delivery to the registered
+    /// supervisor handler with bounded retries (paper §3.2 recoverable
+    /// traps). Kept out of line so the unobserved path stays small.
+    #[inline(never)]
+    fn try_demand_observed(
+        &mut self,
+        is_store: bool,
+        addr: Addr,
+        size: u64,
+        val: u64,
+        dep: Token,
+    ) -> Result<(u64, Token), MachineFault> {
         self.maybe_inject(addr);
         let mut retries = 0u32;
         loop {
-            match self.demand_attempt(is_store, addr, size, val, dep) {
+            match self.demand_once::<true>(is_store, addr, size, val, dep) {
                 Ok(out) => return Ok(out),
                 Err(fault) => match self.deliver_fault(fault) {
                     TrapOutcome::Retry if retries < MAX_FAULT_RETRIES => retries += 1,
@@ -603,6 +172,33 @@ impl Machine {
                 },
             }
         }
+    }
+
+    /// One attempt at a demand reference against the live memory.
+    #[inline(never)]
+    fn demand_once<const OBSERVED: bool>(
+        &mut self,
+        is_store: bool,
+        addr: Addr,
+        size: u64,
+        val: u64,
+        dep: Token,
+    ) -> Result<(u64, Token), MachineFault> {
+        let mut chain = Live {
+            mem: &mut self.mem,
+            cursor: &mut self.ref_cursor,
+            word: 0,
+        };
+        self.timing.demand::<OBSERVED>(
+            &self.cfg,
+            &mut self.obs,
+            &mut chain,
+            is_store,
+            addr,
+            size,
+            val,
+            dep,
+        )
     }
 
     /// Infallible demand wrapper: records the typed fault for harnesses
@@ -660,7 +256,7 @@ impl Machine {
             InjectKind::ChainScramble => self.mem.unforwarded_write(word, word.0, true),
             InjectKind::FbitFlip => self.mem.set_fbit(word, true),
         }
-        self.stats.injected_faults += 1;
+        self.timing.stats.injected_faults += 1;
         if let Some(inj) = self.injector.as_mut() {
             inj.record(Corruption {
                 word,
@@ -689,7 +285,7 @@ impl Machine {
         self.compute(self.cfg.trap_penalty);
         for c in pending.iter().rev() {
             self.unforwarded_write(c.word, c.saved_value, c.saved_fbit);
-            self.stats.fault_repairs += 1;
+            self.timing.stats.fault_repairs += 1;
         }
         true
     }
@@ -702,7 +298,7 @@ impl Machine {
             return TrapOutcome::Abort;
         };
         self.compute(self.cfg.trap_penalty);
-        self.stats.faults_delivered += 1;
+        self.timing.stats.faults_delivered += 1;
         let outcome = handler(self, &fault);
         // The handler may have registered a replacement; keep the newer one.
         if self.fault_handler.is_none() {
@@ -889,13 +485,15 @@ impl Machine {
 
     /// [`Machine::read_fbit`] with an address dependence.
     pub fn read_fbit_dep(&mut self, addr: Addr, dep: Token) -> (bool, Token) {
-        let d = self.pipe.dispatch();
+        let d = self.timing.pipe.dispatch();
         let start = d.max(dep.cycle());
         let acc = self
+            .timing
             .hier
             .access(start, addr.word_base().0, AccessKind::Load);
-        self.stats.fbit_reads += 1;
-        self.pipe
+        self.timing.stats.fbit_reads += 1;
+        self.timing
+            .pipe
             .complete(OpClass::Load, d, acc.complete_at, acc.l1_miss());
         (self.mem.fbit(addr), Token::at(acc.complete_at))
     }
@@ -909,13 +507,15 @@ impl Machine {
 
     /// [`Machine::unforwarded_read`] with an address dependence.
     pub fn unforwarded_read_dep(&mut self, addr: Addr, dep: Token) -> (u64, bool, Token) {
-        let d = self.pipe.dispatch();
+        let d = self.timing.pipe.dispatch();
         let start = d.max(dep.cycle());
         let acc = self
+            .timing
             .hier
             .access(start, addr.word_base().0, AccessKind::Load);
-        self.stats.unforwarded_ops += 1;
-        self.pipe
+        self.timing.stats.unforwarded_ops += 1;
+        self.timing
+            .pipe
             .complete(OpClass::Load, d, acc.complete_at, acc.l1_miss());
         let (v, b) = self.mem.unforwarded_read(addr);
         (v, b, Token::at(acc.complete_at))
@@ -924,14 +524,18 @@ impl Machine {
     /// `Unforwarded_Write`: atomically writes a whole word and its
     /// forwarding bit with forwarding disabled.
     pub fn unforwarded_write(&mut self, addr: Addr, value: u64, fbit: bool) -> Token {
-        let d = self.pipe.dispatch();
-        let acc = self.hier.access(d, addr.word_base().0, AccessKind::Store);
-        self.stats.unforwarded_ops += 1;
+        let d = self.timing.pipe.dispatch();
+        let acc = self
+            .timing
+            .hier
+            .access(d, addr.word_base().0, AccessKind::Store);
+        self.timing.stats.unforwarded_ops += 1;
         self.mem.unforwarded_write(addr, value, fbit);
         let w = addr.word_base().0;
-        self.spec.on_store(w, w, acc.complete_at);
-        self.last_store_resolve = self.last_store_resolve.max(acc.complete_at);
-        self.pipe
+        self.timing.spec.on_store(w, w, acc.complete_at);
+        self.timing.last_store_resolve = self.timing.last_store_resolve.max(acc.complete_at);
+        self.timing
+            .pipe
             .complete(OpClass::Store, d, acc.complete_at, acc.l1_miss());
         Token::at(acc.complete_at)
     }
@@ -954,18 +558,22 @@ impl Machine {
     /// pointer-chasing problem of §2.2 — a prefetch of `p->next->next`
     /// cannot start until `p->next` has been loaded.
     pub fn prefetch_dep(&mut self, addr: Addr, lines: u64, dep: Token) {
-        let d = self.pipe.dispatch();
-        self.hier.prefetch_block(d.max(dep.cycle()), addr.0, lines);
-        self.stats.prefetches += 1;
-        self.pipe.complete(OpClass::Prefetch, d, d + 1, false);
+        let d = self.timing.pipe.dispatch();
+        self.timing
+            .hier
+            .prefetch_block(d.max(dep.cycle()), addr.0, lines);
+        self.timing.stats.prefetches += 1;
+        self.timing
+            .pipe
+            .complete(OpClass::Prefetch, d, d + 1, false);
     }
 
     /// Executes `n` single-cycle ALU instructions with no data dependences.
     pub fn compute(&mut self, n: u64) {
         for _ in 0..n {
-            self.pipe.compute(0);
+            self.timing.pipe.compute(0);
         }
-        self.stats.computes += n;
+        self.timing.stats.computes += n;
     }
 
     /// Executes `n` dependent single-cycle ALU instructions consuming
@@ -973,9 +581,9 @@ impl Machine {
     pub fn compute_dep(&mut self, n: u64, dep: Token) -> Token {
         let mut t = dep;
         for _ in 0..n {
-            t = Token::at(self.pipe.compute(t.cycle()));
+            t = Token::at(self.timing.pipe.compute(t.cycle()));
         }
-        self.stats.computes += n;
+        self.timing.stats.computes += n;
         t
     }
 
@@ -993,12 +601,12 @@ impl Machine {
             return None;
         }
         let recover = inj.config().recover;
-        self.stats.injected_faults += 1;
+        self.timing.stats.injected_faults += 1;
         if recover {
             // The supervisor observes the transient failure, releases the
             // pressure (modelled as handler work), and the retry succeeds.
             self.compute(self.cfg.trap_penalty);
-            self.stats.fault_repairs += 1;
+            self.timing.stats.fault_repairs += 1;
             None
         } else {
             Some(MachineFault::HeapExhausted { requested })
@@ -1015,7 +623,7 @@ impl Machine {
     /// [`MachineFault::HeapExhausted`].
     pub fn try_malloc(&mut self, bytes: u64) -> Result<Addr, MachineFault> {
         self.compute(self.cfg.malloc_cost);
-        self.stats.mallocs += 1;
+        self.timing.stats.mallocs += 1;
         if let Some(fault) = self.maybe_inject_alloc_fail(bytes) {
             match self.deliver_fault(fault) {
                 TrapOutcome::Retry => {} // injected failure was transient
@@ -1063,7 +671,7 @@ impl Machine {
     /// allocation.
     pub fn try_free(&mut self, addr: Addr) -> Result<(), MachineFault> {
         self.compute(self.cfg.free_cost);
-        self.stats.frees += 1;
+        self.timing.stats.frees += 1;
         // Walk the chain of the first word, paying one unforwarded read per
         // element, and collect chain targets that are themselves blocks.
         let mut blocks = vec![addr];
@@ -1082,7 +690,7 @@ impl Machine {
                 return Err(MachineFault::ForwardingCycle { at: cur, hops });
             }
             if self.heap.is_live(cur) {
-                self.stats.chain_frees += 1;
+                self.timing.stats.chain_frees += 1;
                 blocks.push(cur);
             }
         }
@@ -1154,7 +762,7 @@ impl Machine {
                 }
             }
         };
-        self.stats.relocation_space_bytes += pool.bytes_handed_out() - before;
+        self.timing.stats.relocation_space_bytes += pool.bytes_handed_out() - before;
         Ok(a)
     }
 
@@ -1206,7 +814,7 @@ impl Machine {
                 }
             }
         };
-        self.stats.relocation_space_bytes += pool.bytes_handed_out() - before;
+        self.timing.stats.relocation_space_bytes += pool.bytes_handed_out() - before;
         Ok(a)
     }
 
@@ -1239,14 +847,14 @@ impl Machine {
     /// reference. While enabled, each forwarded reference costs
     /// `trap_penalty` extra cycles and is recorded.
     pub fn set_traps_enabled(&mut self, enabled: bool) {
-        self.traps_enabled = enabled;
+        self.obs.traps_enabled = enabled;
         self.recompute_fast_ok();
     }
 
     /// Drains the recorded trap events (profiling-tool style: the
     /// application inspects them and may fix stray pointers itself).
     pub fn take_traps(&mut self) -> Vec<TrapInfo> {
-        std::mem::take(&mut self.trap_log)
+        std::mem::take(&mut self.obs.trap_log)
     }
 
     /// Writes a word functionally WITHOUT any timing effect — no
@@ -1264,13 +872,18 @@ impl Machine {
     /// Starts recording demand references into a trace of at most
     /// `capacity` records (older runs' records are kept until taken).
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.obs.trace = Some(Trace::new(capacity));
         self.recompute_fast_ok();
     }
 
     /// Stops tracing and returns `(records, dropped_count)`.
     pub fn take_trace(&mut self) -> (Vec<TraceRecord>, u64) {
-        let out = self.trace.take().map(|mut t| t.take()).unwrap_or_default();
+        let out = self
+            .obs
+            .trace
+            .take()
+            .map(|mut t| t.take())
+            .unwrap_or_default();
         self.recompute_fast_ok();
         out
     }
@@ -1280,23 +893,23 @@ impl Machine {
     // ------------------------------------------------------------------
 
     pub(crate) fn note_relocation(&mut self, words: u64) {
-        self.stats.relocations += 1;
-        self.stats.relocated_words += words;
+        self.timing.stats.relocations += 1;
+        self.timing.stats.relocated_words += words;
     }
 
     pub(crate) fn note_ptr_compare(&mut self) {
-        self.stats.ptr_compares += 1;
+        self.timing.stats.ptr_compares += 1;
     }
 
     /// Finishes the run: drains the pipeline and returns all statistics.
     pub fn finish(mut self) -> RunStats {
-        self.stats.page_faults = self.pages.as_ref().map(|p| p.faults()).unwrap_or(0);
+        self.timing.stats.page_faults = self.obs.pages.as_ref().map(|p| p.faults()).unwrap_or(0);
         RunStats {
-            pipeline: self.pipe.finish(),
-            cache: self.hier.stats(),
-            bytes_l1_l2: self.hier.bytes_l1_l2(),
-            bytes_l2_mem: self.hier.bytes_l2_mem(),
-            fwd: self.stats,
+            pipeline: self.timing.pipe.finish(),
+            cache: self.timing.hier.stats(),
+            bytes_l1_l2: self.timing.hier.bytes_l1_l2(),
+            bytes_l2_mem: self.timing.hier.bytes_l2_mem(),
+            fwd: self.timing.stats,
             mem: self.mem.stats(),
             heap: self.heap.stats(),
             epoch: self.epoch_stats,
@@ -1307,9 +920,9 @@ impl Machine {
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("now", &self.pipe.now())
-            .field("loads", &self.stats.loads)
-            .field("stores", &self.stats.stores)
+            .field("now", &self.timing.pipe.now())
+            .field("loads", &self.timing.stats.loads)
+            .field("stores", &self.timing.stats.stores)
             .finish_non_exhaustive()
     }
 }
@@ -1317,6 +930,7 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::HOPS_BUCKETS;
 
     fn machine() -> Machine {
         Machine::new(SimConfig::default())

@@ -42,7 +42,7 @@ use crate::config::{MemoryModel, SimConfig};
 use crate::fault::{record_last_fault, MachineFault};
 use crate::inject::{Corruption, InjectKind, Injector};
 use memfwd_cache::CacheLevel;
-use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory, DEFAULT_HOP_LIMIT};
+use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory};
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of the SMP model.
@@ -529,7 +529,7 @@ impl SmpMachine {
                 // Resolved against coherent memory: every older entry has
                 // already drained, and younger entries have not yet
                 // happened globally.
-                let final_addr = self.try_walk(core, addr)?;
+                let final_addr = self.try_walk(core, addr, false)?;
                 self.validate_final(final_addr, size, true)?;
                 let lat = self.access(core, final_addr, size, true);
                 self.cores[core].now += lat;
@@ -788,7 +788,7 @@ impl SmpMachine {
         if self.is_tso() {
             return self.tso_load(core, addr, size);
         }
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, false)?;
         let lat = self.access(core, final_addr, size, false);
         self.cores[core].now += lat;
@@ -800,7 +800,7 @@ impl SmpMachine {
     /// a partial overlap drains the buffer and reads coherent memory —
     /// the conservative hardware answer to a forwarding-width mismatch).
     fn tso_load(&mut self, core: usize, addr: Addr, size: u64) -> Result<u64, MachineFault> {
-        let final_addr = self.try_walk_tso(core, addr)?;
+        let final_addr = self.try_walk(core, addr, true)?;
         self.validate_final(final_addr, size, false)?;
         let (lo, hi) = (final_addr.0, final_addr.0 + size);
         for w in self.cores[core].sb.iter().rev() {
@@ -893,7 +893,7 @@ impl SmpMachine {
                 .push_back(SbWrite::Store { addr, size, value });
             return self.sb_trim(core);
         }
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
@@ -944,7 +944,7 @@ impl SmpMachine {
         // acquirer that observes the release observes everything before
         // it. The release store bypasses the buffer (write-through).
         self.try_drain(core)?;
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
@@ -999,7 +999,7 @@ impl SmpMachine {
         if self.is_tso() {
             return self.tso_load(core, addr, size);
         }
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, false)?;
         let lat = self.access(core, final_addr, size, false);
         self.cores[core].now += lat;
@@ -1141,9 +1141,23 @@ impl SmpMachine {
 
     /// Resolves `addr` through the forwarding chain with coherent, timed
     /// reads of each chain word. Runs the hop counter with the accurate
-    /// software cycle check of §3.2 (same switchover as the uniprocessor
-    /// machine) instead of a blunt iteration guard.
-    fn try_walk(&mut self, core: usize, addr: Addr) -> Result<Addr, MachineFault> {
+    /// software cycle check of §3.2 at [`SimConfig::hop_limit`] and faults
+    /// past [`SimConfig::hard_hop_budget`], as the uniprocessor machine
+    /// does.
+    ///
+    /// With `own_buffer` under TSO, each chain word is read through the
+    /// core's own store buffer first, so a core that buffered a
+    /// forwarding-bit install already follows its own redirect (x86-style
+    /// own-store visibility) while remote cores keep reading the
+    /// un-installed word until the drain. Buffered chain reads hit at
+    /// [`SmpConfig::hit_latency`] without touching the coherence state.
+    fn try_walk(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        own_buffer: bool,
+    ) -> Result<Addr, MachineFault> {
+        let peek = own_buffer && self.is_tso();
         let mut cur = addr;
         let mut hops = 0u32;
         let mut counter = 0u32;
@@ -1152,55 +1166,13 @@ impl SmpMachine {
         // pushed until a hop-limit exception engages the accurate check.
         let mut scratch: Vec<Addr> = Vec::new();
         loop {
-            // Word and forwarding bit in one page lookup.
-            let (fwd, fbit) = self.mem.read_word_tagged(cur);
-            if !fbit {
-                break;
-            }
-            // The forwarding word itself is read coherently.
-            let lat = self.access(core, cur.word_base(), 8, false);
-            self.cores[core].now += lat + self.cfg.fwd_hop_penalty;
-            let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
-            counter += 1;
-            if checking {
-                if scratch.contains(&next.word_base()) {
-                    return Err(MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    });
-                }
-                scratch.push(next.word_base());
-            } else if counter > DEFAULT_HOP_LIMIT {
-                scratch.push(cur.word_base());
-                scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
-            }
-            cur = next;
-        }
-        if hops > 0 {
-            self.cores[core].stats.forwarded += 1;
-        }
-        Ok(cur)
-    }
-
-    /// The TSO chain walk: as [`SmpMachine::try_walk`], but each chain
-    /// word is read through the core's own store buffer first, so a core
-    /// that buffered a forwarding-bit install already follows its own
-    /// redirect (x86-style own-store visibility) while remote cores keep
-    /// reading the un-installed word until the drain. Buffered chain
-    /// reads hit at [`SmpConfig::hit_latency`] without touching the
-    /// coherence state.
-    fn try_walk_tso(&mut self, core: usize, addr: Addr) -> Result<Addr, MachineFault> {
-        let mut cur = addr;
-        let mut hops = 0u32;
-        let mut counter = 0u32;
-        let mut checking = false;
-        let mut scratch: Vec<Addr> = Vec::new();
-        loop {
-            let buffered = sb_peek(&self.cores[core].sb, cur.word_base());
+            let buffered = if peek {
+                sb_peek(&self.cores[core].sb, cur.word_base())
+            } else {
+                None
+            };
             let from_buffer = buffered.is_some();
+            // Word and forwarding bit in one page lookup.
             let (fwd, fbit) = buffered.unwrap_or_else(|| self.mem.read_word_tagged(cur));
             if !fbit {
                 break;
@@ -1217,11 +1189,18 @@ impl SmpMachine {
                 st.hits += 1;
                 st.sb_forwards += 1;
             } else {
+                // The forwarding word itself is read coherently.
                 let lat = self.access(core, cur.word_base(), 8, false);
                 self.cores[core].now += lat + self.cfg.fwd_hop_penalty;
             }
             let next = Addr(fwd) + cur.word_offset();
             hops += 1;
+            if self.sim.hard_hop_budget.is_some_and(|budget| hops > budget) {
+                return Err(MachineFault::HopLimitExceeded {
+                    at: cur.word_base(),
+                    hops,
+                });
+            }
             counter += 1;
             if checking {
                 if scratch.contains(&next.word_base()) {
@@ -1231,7 +1210,7 @@ impl SmpMachine {
                     });
                 }
                 scratch.push(next.word_base());
-            } else if counter > DEFAULT_HOP_LIMIT {
+            } else if counter > self.sim.hop_limit {
                 scratch.push(cur.word_base());
                 scratch.push(next.word_base());
                 checking = true;
@@ -1369,6 +1348,7 @@ impl std::fmt::Debug for SmpMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memfwd_tagmem::DEFAULT_HOP_LIMIT;
 
     fn smp(cores: usize) -> SmpMachine {
         SmpMachine::new(
@@ -1504,6 +1484,46 @@ mod tests {
             m.mem.unforwarded_write(w[0], w[1].0, true);
         }
         assert_eq!(m.try_load(0, blocks[0], 8), Ok(99), "long != cyclic");
+    }
+
+    /// Both machines read the same hop limit and hard budget from the
+    /// configuration: a 12-hop acyclic chain over a budget of 4 faults
+    /// identically on a uniprocessor and on a 1-core SC SMP.
+    #[test]
+    fn hard_hop_budget_faults_like_the_uniprocessor() {
+        let sim = SimConfig {
+            hard_hop_budget: Some(4),
+            ..SimConfig::default()
+        };
+        let mut uni = crate::Machine::new(sim);
+        let mut m = SmpMachine::new(
+            SmpConfig {
+                cores: 1,
+                ..SmpConfig::default()
+            },
+            sim,
+        );
+        let uni_chain: Vec<Addr> = (0..13).map(|_| uni.malloc(8)).collect();
+        let smp_chain: Vec<Addr> = (0..13).map(|_| m.malloc(8)).collect();
+        for (u, s) in uni_chain.windows(2).zip(smp_chain.windows(2)) {
+            uni.unforwarded_write(u[0], u[1].0, true);
+            m.mem.unforwarded_write(s[0], s[1].0, true);
+        }
+        let over_budget = |chain: &[Addr]| {
+            Err(MachineFault::HopLimitExceeded {
+                at: chain[4],
+                hops: 5,
+            })
+        };
+        assert_eq!(uni.try_load_word(uni_chain[0]), over_budget(&uni_chain));
+        assert_eq!(m.try_load(0, smp_chain[0], 8), over_budget(&smp_chain));
+        assert_eq!(
+            m.try_store(0, smp_chain[0], 8, 1),
+            over_budget(&smp_chain).map(|_| ())
+        );
+        // Within the budget both machines follow the chain.
+        assert_eq!(uni.try_load_word(uni_chain[8]), Ok(0));
+        assert_eq!(m.try_load(0, smp_chain[8], 8), Ok(0));
     }
 
     #[test]

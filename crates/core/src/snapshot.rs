@@ -34,6 +34,7 @@
 //! never a silently divergent machine.
 
 use crate::config::SimConfig;
+use crate::demand::{Observers, Timing};
 use crate::inject::Injector;
 use crate::machine::Machine;
 use crate::paging::PageCache;
@@ -195,32 +196,32 @@ fn open(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
 fn encode_machine(enc: &mut SnapEncoder, m: &Machine) {
     m.mem.snapshot_encode(enc);
     m.heap.snapshot_encode(enc);
-    m.hier.snapshot_encode(enc);
-    m.pipe.snapshot_encode(enc);
-    m.spec.snapshot_encode(enc);
-    m.stats.snapshot_encode(enc);
-    enc.bool(m.traps_enabled);
-    enc.seq(m.trap_log.iter(), |e, t| {
+    m.timing.hier.snapshot_encode(enc);
+    m.timing.pipe.snapshot_encode(enc);
+    m.timing.spec.snapshot_encode(enc);
+    m.timing.stats.snapshot_encode(enc);
+    enc.bool(m.obs.traps_enabled);
+    enc.seq(m.obs.trap_log.iter(), |e, t| {
         e.addr(t.initial);
         e.addr(t.final_addr);
         e.u32(t.hops);
         e.bool(t.is_store);
     });
-    enc.u64(m.last_store_resolve);
-    enc.bool(m.pages.is_some());
-    if let Some(p) = m.pages.as_ref() {
+    enc.u64(m.timing.last_store_resolve);
+    enc.bool(m.obs.pages.is_some());
+    if let Some(p) = m.obs.pages.as_ref() {
         p.snapshot_encode(enc);
     }
-    enc.seq(m.store_buf.iter(), |e, &d| e.u64(d));
-    enc.bool(m.trace.is_some());
-    if let Some(t) = m.trace.as_ref() {
+    enc.seq(m.obs.store_buf.iter(), |e, &d| e.u64(d));
+    enc.bool(m.obs.trace.is_some());
+    if let Some(t) = m.obs.trace.as_ref() {
         t.snapshot_encode(enc);
     }
     enc.bool(m.injector.is_some());
     if let Some(inj) = m.injector.as_ref() {
         inj.snapshot_encode(enc);
     }
-    enc.seq(m.walk_hops_window.iter(), |e, &h| e.u64(h));
+    enc.seq(m.obs.walk_hops_window.iter(), |e, &h| e.u64(h));
     m.epoch_stats.snapshot_encode(enc);
 }
 
@@ -284,21 +285,25 @@ fn decode_machine(dec: &mut SnapDecoder<'_>, cfg: SimConfig) -> Result<Machine, 
         cfg,
         mem,
         heap,
-        hier,
-        pipe,
-        spec,
-        stats,
-        traps_enabled,
-        trap_log,
-        last_store_resolve,
-        pages,
-        store_buf,
-        trace,
+        timing: Timing {
+            pipe,
+            hier,
+            spec,
+            stats,
+            last_store_resolve,
+            walk_scratch: Vec::new(),
+        },
+        obs: Observers {
+            pages,
+            store_buf,
+            trace,
+            traps_enabled,
+            trap_log,
+            walk_hops_window,
+            walk_hops_sum,
+        },
         fault_handler: None,
         injector,
-        walk_hops_window,
-        walk_hops_sum,
-        walk_scratch: Vec::new(),
         fast_ok: false,
         ref_cursor: memfwd_tagmem::PageCursor::empty(),
         epoch_stats,

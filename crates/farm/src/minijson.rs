@@ -78,9 +78,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The documents the
+/// farm and the service exchange nest a handful of levels; the cap keeps a
+/// hostile input from recursing the parser off the stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -88,6 +95,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -121,8 +129,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -332,6 +351,16 @@ mod tests {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("{\"unterminated").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse_json(&deep).unwrap_err().contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let past_cap = format!("{{\"a\":{at_cap}}}");
+        assert!(parse_json(&past_cap).is_err());
     }
 
     #[test]

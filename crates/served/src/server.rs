@@ -39,7 +39,7 @@ use memfwd_farm::{
     InProcessRunner, Journal, SubprocessRunner, SweepSpec,
 };
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -569,22 +569,88 @@ fn handle_request(state: &ServerState, line: &str) -> String {
     }
 }
 
+/// Longest request line the server buffers. A `submit` carries a grid
+/// spec of a few hundred bytes; the cap keeps one client from growing the
+/// server's memory without bound.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// The client closed the connection.
+    Eof,
+    /// A complete line, newline stripped.
+    Line,
+    /// A line longer than [`MAX_REQUEST_BYTES`]; it was consumed unread.
+    TooLong,
+}
+
+/// Reads one request line into `line`, buffering at most
+/// [`MAX_REQUEST_BYTES`] of it.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<RequestLine> {
+    line.clear();
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        return Ok(RequestLine::Line);
+    }
+    if line.len() <= MAX_REQUEST_BYTES {
+        return Ok(RequestLine::Line); // the last line, unterminated
+    }
+    // Oversized: discard the rest of the line without buffering it.
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(RequestLine::TooLong);
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(RequestLine::TooLong);
+            }
+            None => {
+                let n = buf.len();
+                reader.consume(n);
+            }
+        }
+    }
+}
+
 fn handle_conn(state: &ServerState, stream: UnixStream) {
     stream.set_nonblocking(false).ok();
     // A dead client must not pin the connection (and the drain grace
     // period) forever.
     stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = handle_request(state, &line);
+    let mut line = Vec::new();
+    loop {
+        let resp = match read_request_line(&mut reader, &mut line) {
+            Ok(RequestLine::Line) => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                if text.trim().is_empty() {
+                    continue;
+                }
+                handle_request(state, text)
+            }
+            Ok(RequestLine::TooLong) => proto::resp_error(&format!(
+                "request line longer than {MAX_REQUEST_BYTES} bytes"
+            )),
+            Ok(RequestLine::Eof) | Err(_) => return,
+        };
         if writer
             .write_all(resp.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))

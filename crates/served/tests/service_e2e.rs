@@ -1,8 +1,8 @@
 //! End-to-end tests of the `memfwd_served` binary over its Unix socket:
 //! the four-way determinism gate (local run, service submission, warm
 //! cache resubmission, SIGKILL + `--resume`), typed load shedding with a
-//! live `health` endpoint, graceful drain, and quarantine surfacing in
-//! `stats`.
+//! live `health` endpoint, typed rejection of hostile request lines,
+//! graceful drain, and quarantine surfacing in `stats`.
 
 #![cfg(unix)]
 
@@ -352,6 +352,30 @@ fn overload_sheds_typed_and_health_answers() {
         Some("draining"),
         "{v:?}"
     );
+}
+
+/// Hostile request lines — one past the server's line cap, one nested far
+/// past the JSON parser's depth cap — get typed errors on a connection
+/// that keeps serving, and `health` still answers afterwards.
+#[test]
+fn hostile_request_lines_get_typed_errors() {
+    let server = Server::start("hostile", false, &[]);
+    let mut c = server.client();
+    let oversized = format!("{{\"op\":\"health\",\"pad\":\"{}\"}}", "x".repeat(2 << 20));
+    let v = c.rpc(&oversized);
+    assert_eq!(v.get("type").and_then(Json::as_str), Some("error"), "{v:?}");
+    assert!(
+        v.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("longer than")),
+        "{v:?}"
+    );
+    let v = c.rpc(&"[".repeat(500_000));
+    assert_eq!(v.get("type").and_then(Json::as_str), Some("error"), "{v:?}");
+    let v = c.rpc("{\"op\":\"health\"}");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    let v = server.client().rpc("{\"op\":\"health\"}");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
 }
 
 /// The production worker mode: cells run as `--worker-cell` re-execs of

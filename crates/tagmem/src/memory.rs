@@ -33,14 +33,13 @@ impl MemStats {
 /// `u64::MAX * PAGE_BYTES`, which does not exist.
 const TLB_EMPTY: u64 = u64::MAX;
 
-/// An explicit per-batch translation cursor: holds the last page
+/// An explicit caller-owned translation cursor: holds the last page
 /// translation so a run of references to one page — the typical
 /// basic-block window — pays a single map probe for the whole run.
 ///
 /// Unlike the memory's built-in micro-TLB (which it complements), the
-/// cursor is owned by the caller, so the batch executor keeps its
-/// translation in a register across the window instead of re-reading a
-/// shared `Cell`. Pages are never deallocated, so a cached index can never
+/// cursor is owned by the caller, so a demand-reference loop keeps its
+/// translation across the run instead of re-reading a shared `Cell`. Pages are never deallocated, so a cached index can never
 /// go stale within a run; discard cursors across snapshot restores.
 #[derive(Debug, Clone, Copy)]
 pub struct PageCursor {

@@ -90,7 +90,7 @@ impl Page {
 
     /// True when none of the `n_words` words starting at word index `w0`
     /// have their forwarding bit set. Scans whole 64-word limbs with masked
-    /// ends — the u64-lane kernel behind the batch path's walk-free check.
+    /// ends — the u64-lane kernel behind `TaggedMemory::fbits_clear_range`.
     #[inline]
     pub(crate) fn fbits_none_in(&self, w0: usize, n_words: usize) -> bool {
         crate::scan::bits_none_in(&self.fbits, w0, n_words)

@@ -1,9 +1,8 @@
 //! Portable u64-lane bitmap scan kernels.
 //!
-//! The batched execution path needs one question answered fast: "is any
-//! forwarding bit set in this word range?" — a clear range means every
-//! reference in the window is walk-free and the per-reference chain-walk
-//! machinery can be skipped wholesale. These kernels answer it by scanning
+//! [`crate::TaggedMemory::fbits_clear_range`] answers one question fast:
+//! "is any forwarding bit set in this word range?" — a clear range means
+//! every reference into it is walk-free. These kernels answer it by scanning
 //! the bitmap limbs in explicit 4-lane chunks (one cache line of `u64`s per
 //! step) so the compiler vectorizes them on any stable toolchain; no
 //! nightly features, no target-specific intrinsics.
