@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use memfwd::{list_linearize, relocate, ListDesc, Machine, SimConfig};
-use memfwd_tagmem::{resolve_unbounded, Addr, TaggedMemory};
+use memfwd_tagmem::{resolve, Addr, TaggedMemory, DEFAULT_HOP_LIMIT};
 use std::hint::black_box;
 
 fn bench_chain_resolution(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_chain_resolution(c: &mut Criterion) {
             mem.unforwarded_write(Addr(0x1000 + h * 64), 0x1000 + (h + 1) * 64, true);
         }
         group.bench_function(format!("{hops}_hops"), |b| {
-            b.iter(|| resolve_unbounded(&mem, black_box(Addr(0x1004))).unwrap())
+            b.iter(|| resolve(&mem, black_box(Addr(0x1004)), DEFAULT_HOP_LIMIT).unwrap())
         });
     }
     group.finish();

@@ -4,7 +4,7 @@ use crate::inject::InjectConfig;
 use crate::paging::PagingConfig;
 use memfwd_cache::HierarchyConfig;
 use memfwd_cpu::PipelineConfig;
-use memfwd_tagmem::{Addr, AllocPolicy, DEFAULT_HOP_LIMIT};
+use memfwd_tagmem::{Addr, AllocPolicy, WalkPolicy, DEFAULT_HOP_LIMIT};
 
 /// Complete configuration of the simulated machine.
 ///
@@ -204,6 +204,15 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The policy of a hardware (demand) forwarding walk:
+    /// [`SimConfig::hop_limit`] and [`SimConfig::hard_hop_budget`].
+    pub fn walk_policy(&self) -> WalkPolicy {
+        WalkPolicy {
+            hop_limit: self.hop_limit,
+            hard_budget: self.hard_hop_budget,
+        }
+    }
+
     /// Returns a copy with a different cache line size (the Fig. 5 sweep).
     pub fn with_line_bytes(mut self, line_bytes: u64) -> Self {
         self.hierarchy = self.hierarchy.with_line_bytes(line_bytes);

@@ -29,8 +29,7 @@ use crate::trap::TrapInfo;
 use memfwd_cache::{AccessKind, Hierarchy};
 use memfwd_cpu::{OpClass, Pipeline, SpecQueue, Token};
 use memfwd_tagmem::{
-    resolve_with_scratch, validate_access, Addr, PageCursor, TaggedMemory, DEFAULT_HOP_LIMIT,
-    WORD_BYTES,
+    resolve_with_scratch, validate_access, Addr, PageCursor, TaggedMemory, WalkGuard, WORD_BYTES,
 };
 use std::collections::VecDeque;
 
@@ -74,7 +73,12 @@ pub(crate) trait Chain {
 
     /// Perfect forwarding: the final address of `addr`'s chain, as if every
     /// pointer had been updated.
-    fn resolve(&mut self, addr: Addr, scratch: &mut Vec<Addr>) -> Result<Addr, MachineFault>;
+    fn resolve(
+        &mut self,
+        addr: Addr,
+        hop_limit: u32,
+        scratch: &mut Vec<Addr>,
+    ) -> Result<Addr, MachineFault>;
 
     /// The data half of the access at `final_addr`: writes a store's value
     /// or returns a load's.
@@ -104,8 +108,13 @@ impl Chain for Live<'_> {
         }
     }
 
-    fn resolve(&mut self, addr: Addr, scratch: &mut Vec<Addr>) -> Result<Addr, MachineFault> {
-        let r = resolve_with_scratch(self.mem, addr, DEFAULT_HOP_LIMIT, scratch)?;
+    fn resolve(
+        &mut self,
+        addr: Addr,
+        hop_limit: u32,
+        scratch: &mut Vec<Addr>,
+    ) -> Result<Addr, MachineFault> {
+        let r = resolve_with_scratch(self.mem, addr, hop_limit, scratch)?;
         self.word = self.mem.read_word_tagged(r.final_addr).0;
         Ok(r.final_addr)
     }
@@ -168,11 +177,9 @@ impl Timing {
         mut next: Addr,
         mut t: u64,
     ) -> Result<Walk, (MachineFault, u64)> {
+        let mut guard = WalkGuard::new(cfg.walk_policy(), &mut self.walk_scratch);
         let mut cur = addr;
-        let mut hops = 0u32;
         let mut l1_miss = false;
-        let mut counter = 0u32;
-        let mut checking = false;
         loop {
             if OBSERVED {
                 if let Some(p) = obs.pages.as_mut() {
@@ -182,32 +189,11 @@ impl Timing {
             let acc = self.hier.access(t, cur.word_base().0, AccessKind::Load);
             l1_miss |= acc.l1_miss();
             t = acc.complete_at + cfg.fwd_hop_penalty;
-            hops += 1;
-            if cfg.hard_hop_budget.is_some_and(|budget| hops > budget) {
-                let fault = MachineFault::HopLimitExceeded {
-                    at: cur.word_base(),
-                    hops,
-                };
-                return Err((fault, t));
-            }
-            counter += 1;
-            if checking {
-                if self.walk_scratch.contains(&next.word_base()) {
-                    let fault = MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    };
-                    return Err((fault, t));
-                }
-                self.walk_scratch.push(next.word_base());
-            } else if counter > cfg.hop_limit {
+            match guard.hop(cur, next) {
                 // Hop-limit exception: accurate software cycle check.
-                t += cfg.cycle_check_penalty;
-                self.walk_scratch.clear();
-                self.walk_scratch.push(cur.word_base());
-                self.walk_scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
+                Ok(true) => t += cfg.cycle_check_penalty,
+                Ok(false) => {}
+                Err(fault) => return Err((fault.into(), t)),
             }
             cur = next;
             match chain.follow(cur) {
@@ -218,7 +204,7 @@ impl Timing {
         Ok(Walk {
             final_addr: cur,
             t,
-            hops,
+            hops: guard.hops(),
             l1_miss,
         })
     }
@@ -268,7 +254,7 @@ impl Timing {
         };
         let walk = if cfg.perfect_forwarding {
             chain
-                .resolve(addr, &mut self.walk_scratch)
+                .resolve(addr, cfg.hop_limit, &mut self.walk_scratch)
                 .map(unforwarded)
                 .map_err(|fault| (fault, start))
         } else if let Some(next) = chain.follow(addr) {

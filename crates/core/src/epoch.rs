@@ -44,7 +44,8 @@ use crate::fault::MachineFault;
 use crate::machine::Machine;
 use memfwd_cpu::{OpClass, Token};
 use memfwd_tagmem::{
-    merge_mask, validate_access, Addr, FxHashMap, Page, PageMask, SpecBase, SpecView, WORD_BYTES,
+    merge_mask, validate_access, Addr, FxHashMap, Page, PageMask, SpecBase, SpecView, WalkGuard,
+    WORD_BYTES,
 };
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -188,10 +189,6 @@ struct SpecExec<'a> {
     ops: Vec<Op>,
     hop_words: Vec<u64>,
     aborted: bool,
-    /// Walks longer than this are aborted to the direct path, so no
-    /// replayed walk reaches the accurate cycle check (past `hop_limit`)
-    /// or the hard budget fault (past `hard_hop_budget`).
-    hop_cap: u32,
 }
 
 impl<'a> SpecExec<'a> {
@@ -202,7 +199,6 @@ impl<'a> SpecExec<'a> {
             ops: Vec::new(),
             hop_words: Vec::new(),
             aborted: false,
-            hop_cap: cfg.hop_limit.min(cfg.hard_hop_budget.unwrap_or(u32::MAX)),
         }
     }
 
@@ -244,8 +240,12 @@ impl<'a> SpecExec<'a> {
         if addr.is_null() || validate_access(addr, size).is_err() {
             return self.abort(hop_lo);
         }
+        // A walk the hardware would hand to the accurate cycle check (past
+        // `hop_limit`) or fault (past `hard_hop_budget`) aborts to the
+        // direct path, so no replayed walk reaches either.
+        let mut scratch = Vec::new();
+        let mut guard = WalkGuard::new(self.cfg.walk_policy(), &mut scratch);
         let mut cur = addr;
-        let mut hops = 0u32;
         let final_word;
         loop {
             // Hops and a full-word store's final probe are peeks, not value
@@ -265,12 +265,13 @@ impl<'a> SpecExec<'a> {
             if !self.cfg.perfect_forwarding {
                 self.hop_words.push(cur.word_base().0);
             }
-            hops += 1;
-            if hops > self.hop_cap {
+            let next = Addr(word) + cur.word_offset();
+            if guard.hop(cur, next) != Ok(false) {
                 return self.abort(hop_lo);
             }
-            cur = Addr(word) + cur.word_offset();
+            cur = next;
         }
+        let hops = guard.hops();
         let final_addr = cur;
         if final_addr != addr
             && (final_addr.is_null() || validate_access(final_addr, size).is_err())
@@ -373,7 +374,7 @@ impl Chain for Logged<'_> {
         )
     }
 
-    fn resolve(&mut self, _addr: Addr, _scratch: &mut Vec<Addr>) -> Result<Addr, MachineFault> {
+    fn resolve(&mut self, _: Addr, _: u32, _: &mut Vec<Addr>) -> Result<Addr, MachineFault> {
         Ok(self.final_addr)
     }
 

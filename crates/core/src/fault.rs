@@ -44,7 +44,7 @@
 //! ```
 
 use crate::snapshot::SnapshotError;
-use memfwd_tagmem::{Addr, CycleError, TagMemError};
+use memfwd_tagmem::{Addr, CycleError, TagMemError, WalkFault};
 use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
@@ -103,7 +103,7 @@ pub enum MachineFault {
     HopLimitExceeded {
         /// The last chain word reached before the budget ran out.
         at: Addr,
-        /// Hops performed (equals the budget).
+        /// Hops performed, including the one over budget.
         hops: u32,
     },
     /// A checkpoint snapshot could not be restored: truncated, bit-flipped,
@@ -195,6 +195,15 @@ impl From<CycleError> for MachineFault {
         MachineFault::ForwardingCycle {
             at: c.at,
             hops: c.hops,
+        }
+    }
+}
+
+impl From<WalkFault> for MachineFault {
+    fn from(f: WalkFault) -> Self {
+        match f {
+            WalkFault::Cycle(c) => c.into(),
+            WalkFault::OverBudget { at, hops } => MachineFault::HopLimitExceeded { at, hops },
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::machine::Machine;
 use memfwd_cpu::Token;
-use memfwd_tagmem::Addr;
+use memfwd_tagmem::{resolve, Addr, WalkGuard, WalkPolicy, DEFAULT_HOP_LIMIT};
 
 /// Computes the final address of `a` in software, via `Read_FBit` and
 /// `Unforwarded_Read` instructions (all costed).
@@ -25,13 +25,14 @@ pub fn final_address(m: &mut Machine, a: Addr) -> Addr {
         // Under the Perf bound every pointer already holds its target's
         // final address, so the comparison needs no chain walk.
         m.compute(1);
-        return memfwd_tagmem::resolve_unbounded(m.mem(), a)
+        return resolve(m.mem(), a, DEFAULT_HOP_LIMIT)
             .expect("forwarding cycle during pointer comparison")
             .final_addr;
     }
+    let mut scratch = Vec::new();
+    let mut guard = WalkGuard::new(WalkPolicy::SOFTWARE, &mut scratch);
     let mut cur = a;
     let mut tok = Token::ready();
-    let mut guard = 0u32;
     loop {
         let (fbit, t1) = m.read_fbit_dep(cur, tok);
         m.compute(1); // branch
@@ -39,13 +40,12 @@ pub fn final_address(m: &mut Machine, a: Addr) -> Addr {
             return cur;
         }
         let (val, _, t2) = m.unforwarded_read_dep(cur, t1);
-        cur = Addr(val) + cur.word_offset();
+        let next = Addr(val) + cur.word_offset();
+        guard
+            .hop(cur, next)
+            .unwrap_or_else(|_| panic!("forwarding cycle during pointer comparison"));
+        cur = next;
         tok = t2;
-        guard += 1;
-        assert!(
-            guard < 1 << 16,
-            "forwarding cycle during pointer comparison"
-        );
     }
 }
 

@@ -42,7 +42,7 @@ use crate::config::{MemoryModel, SimConfig};
 use crate::fault::{record_last_fault, MachineFault};
 use crate::inject::{Corruption, InjectKind, Injector};
 use memfwd_cache::CacheLevel;
-use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory};
+use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory, WalkGuard, WalkPolicy};
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of the SMP model.
@@ -58,8 +58,6 @@ pub struct SmpConfig {
     pub miss_latency: u64,
     /// Extra latency when a miss also had to invalidate remote copies.
     pub invalidate_latency: u64,
-    /// Extra cycles per forwarding hop.
-    pub fwd_hop_penalty: u64,
     /// Store-buffer capacity per core under
     /// [`MemoryModel::Tso`]; issuing a store into a full buffer
     /// drains the oldest entry first. Ignored under SC.
@@ -74,7 +72,6 @@ impl Default for SmpConfig {
             hit_latency: 1,
             miss_latency: 60,
             invalidate_latency: 20,
-            fwd_hop_penalty: 4,
             sb_entries: 8,
         }
     }
@@ -529,8 +526,7 @@ impl SmpMachine {
                 // Resolved against coherent memory: every older entry has
                 // already drained, and younger entries have not yet
                 // happened globally.
-                let final_addr = self.try_walk(core, addr, false)?;
-                self.validate_final(final_addr, size, true)?;
+                let final_addr = self.try_walk(core, addr, size, true)?;
                 let lat = self.access(core, final_addr, size, true);
                 self.cores[core].now += lat;
                 self.mem.write_data(final_addr, size, value);
@@ -788,8 +784,7 @@ impl SmpMachine {
         if self.is_tso() {
             return self.tso_load(core, addr, size);
         }
-        let final_addr = self.try_walk(core, addr, false)?;
-        self.validate_final(final_addr, size, false)?;
+        let final_addr = self.try_walk(core, addr, size, false)?;
         let lat = self.access(core, final_addr, size, false);
         self.cores[core].now += lat;
         Ok(self.mem.read_data(final_addr, size))
@@ -800,8 +795,7 @@ impl SmpMachine {
     /// a partial overlap drains the buffer and reads coherent memory —
     /// the conservative hardware answer to a forwarding-width mismatch).
     fn tso_load(&mut self, core: usize, addr: Addr, size: u64) -> Result<u64, MachineFault> {
-        let final_addr = self.try_walk(core, addr, true)?;
-        self.validate_final(final_addr, size, false)?;
+        let final_addr = self.try_walk(core, addr, size, false)?;
         let (lo, hi) = (final_addr.0, final_addr.0 + size);
         for w in self.cores[core].sb.iter().rev() {
             let (wlo, whi, exact) = match *w {
@@ -893,8 +887,7 @@ impl SmpMachine {
                 .push_back(SbWrite::Store { addr, size, value });
             return self.sb_trim(core);
         }
-        let final_addr = self.try_walk(core, addr, false)?;
-        self.validate_final(final_addr, size, true)?;
+        let final_addr = self.try_walk(core, addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
         self.mem.write_data(final_addr, size, value);
@@ -944,8 +937,7 @@ impl SmpMachine {
         // acquirer that observes the release observes everything before
         // it. The release store bypasses the buffer (write-through).
         self.try_drain(core)?;
-        let final_addr = self.try_walk(core, addr, false)?;
-        self.validate_final(final_addr, size, true)?;
+        let final_addr = self.try_walk(core, addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
         self.mem.write_data(final_addr, size, value);
@@ -999,8 +991,7 @@ impl SmpMachine {
         if self.is_tso() {
             return self.tso_load(core, addr, size);
         }
-        let final_addr = self.try_walk(core, addr, false)?;
-        self.validate_final(final_addr, size, false)?;
+        let final_addr = self.try_walk(core, addr, size, false)?;
         let lat = self.access(core, final_addr, size, false);
         self.cores[core].now += lat;
         Ok(self.mem.read_data(final_addr, size))
@@ -1123,167 +1114,156 @@ impl SmpMachine {
         }
     }
 
-    /// Re-validates the address a forwarding walk landed on: a healthy
-    /// chain preserves the (already validated) access offset, but a
-    /// corrupted forwarding word can point anywhere.
-    fn validate_final(
-        &self,
-        final_addr: Addr,
-        size: u64,
-        is_store: bool,
-    ) -> Result<(), MachineFault> {
-        if final_addr.is_null() {
-            return Err(MachineFault::NullDeref { is_store });
+    /// The chain word at `cur` and its forwarding bit as `core` sees them
+    /// — through its own store buffer first when `own_buffer` — and
+    /// whether the buffer supplied them. Uncharged: see
+    /// [`SmpMachine::charge_chain_read`].
+    fn chain_word(&self, core: usize, cur: Addr, own_buffer: bool) -> ((u64, bool), bool) {
+        let buffered = own_buffer.then(|| sb_peek(&self.cores[core].sb, cur.word_base()));
+        match buffered.flatten() {
+            Some(word) => (word, true),
+            None => (self.mem.read_word_tagged(cur), false),
         }
-        validate_access(final_addr, size)?;
-        Ok(())
+    }
+
+    /// Charges `core` for reading the chain word at `cur`: coherently, or —
+    /// when its own store buffer supplied the word — as a hit at
+    /// [`SmpConfig::hit_latency`] that leaves the coherence state alone.
+    fn charge_chain_read(&mut self, core: usize, cur: Addr, from_buffer: bool) {
+        if from_buffer {
+            self.note_event(SmpEvent::Access {
+                core,
+                word: cur.word_base(),
+                is_store: false,
+            });
+            self.cores[core].now += self.cfg.hit_latency;
+            let st = &mut self.cores[core].stats;
+            st.loads += 1;
+            st.hits += 1;
+            st.sb_forwards += 1;
+        } else {
+            let lat = self.access(core, cur.word_base(), 8, false);
+            self.cores[core].now += lat;
+        }
     }
 
     /// Resolves `addr` through the forwarding chain with coherent, timed
-    /// reads of each chain word. Runs the hop counter with the accurate
-    /// software cycle check of §3.2 at [`SimConfig::hop_limit`] and faults
-    /// past [`SimConfig::hard_hop_budget`], as the uniprocessor machine
-    /// does.
+    /// reads of each chain word — a hardware walk, under
+    /// [`SimConfig::walk_policy`] and charged as the uniprocessor machine
+    /// charges it: [`SimConfig::fwd_hop_penalty`] per hop and
+    /// [`SimConfig::cycle_check_penalty`] when the accurate cycle check
+    /// engages.
     ///
-    /// With `own_buffer` under TSO, each chain word is read through the
-    /// core's own store buffer first, so a core that buffered a
-    /// forwarding-bit install already follows its own redirect (x86-style
-    /// own-store visibility) while remote cores keep reading the
-    /// un-installed word until the drain. Buffered chain reads hit at
-    /// [`SmpConfig::hit_latency`] without touching the coherence state.
+    /// A load under TSO reads each chain word through the core's own store
+    /// buffer first, so a core that buffered a forwarding-bit install
+    /// already follows its own redirect (x86-style own-store visibility)
+    /// while remote cores keep reading the un-installed word until the
+    /// drain. A store walks only at its drain (or, releasing, once the
+    /// buffer is empty), against coherent memory.
+    ///
+    /// The final address of a `size`-byte access is re-validated: a healthy
+    /// chain preserves the (already validated) access offset, but a
+    /// corrupted forwarding word can point anywhere.
     fn try_walk(
         &mut self,
         core: usize,
         addr: Addr,
-        own_buffer: bool,
+        size: u64,
+        is_store: bool,
     ) -> Result<Addr, MachineFault> {
-        let peek = own_buffer && self.is_tso();
+        let peek = !is_store && self.is_tso();
+        let mut scratch = Vec::new();
+        let mut guard = WalkGuard::new(self.sim.walk_policy(), &mut scratch);
         let mut cur = addr;
-        let mut hops = 0u32;
-        let mut counter = 0u32;
-        let mut checking = false;
-        // Lazily populated: `Vec::new` does not allocate, and nothing is
-        // pushed until a hop-limit exception engages the accurate check.
-        let mut scratch: Vec<Addr> = Vec::new();
         loop {
-            let buffered = if peek {
-                sb_peek(&self.cores[core].sb, cur.word_base())
-            } else {
-                None
-            };
-            let from_buffer = buffered.is_some();
-            // Word and forwarding bit in one page lookup.
-            let (fwd, fbit) = buffered.unwrap_or_else(|| self.mem.read_word_tagged(cur));
+            let ((fwd, fbit), from_buffer) = self.chain_word(core, cur, peek);
             if !fbit {
                 break;
             }
-            if from_buffer {
-                self.note_event(SmpEvent::Access {
-                    core,
-                    word: cur.word_base(),
-                    is_store: false,
-                });
-                self.cores[core].now += self.cfg.hit_latency + self.cfg.fwd_hop_penalty;
-                let st = &mut self.cores[core].stats;
-                st.loads += 1;
-                st.hits += 1;
-                st.sb_forwards += 1;
-            } else {
-                // The forwarding word itself is read coherently.
-                let lat = self.access(core, cur.word_base(), 8, false);
-                self.cores[core].now += lat + self.cfg.fwd_hop_penalty;
-            }
+            self.charge_chain_read(core, cur, from_buffer);
+            self.cores[core].now += self.sim.fwd_hop_penalty;
             let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
-            if self.sim.hard_hop_budget.is_some_and(|budget| hops > budget) {
-                return Err(MachineFault::HopLimitExceeded {
-                    at: cur.word_base(),
-                    hops,
-                });
-            }
-            counter += 1;
-            if checking {
-                if scratch.contains(&next.word_base()) {
-                    return Err(MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    });
-                }
-                scratch.push(next.word_base());
-            } else if counter > self.sim.hop_limit {
-                scratch.push(cur.word_base());
-                scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
+            if guard.hop(cur, next)? {
+                self.cores[core].now += self.sim.cycle_check_penalty;
             }
             cur = next;
         }
-        if hops > 0 {
+        if guard.hops() > 0 {
             self.cores[core].stats.forwarded += 1;
         }
+        if cur.is_null() {
+            return Err(MachineFault::NullDeref { is_store });
+        }
+        validate_access(cur, size)?;
         Ok(cur)
     }
 
-    /// The TSO relocation path: source-chain reads go through the store
-    /// buffer (own pending installs are chased), and both the data copy
-    /// and the forwarding-bit install are *buffered*, FIFO-ordered copy
-    /// before install. Until the install drains, remote cores still see
-    /// the old home — the publication window the certifier's
-    /// MF010/MF011/MF012 diagnostics reason about.
-    fn try_relocate_tso(
+    /// Moves `n_words` from `src` to `tgt`. Each source word's chain is
+    /// followed to its end by a software walk, then the word is copied and
+    /// the terminal word turned into a forwarding word. Under SC both
+    /// writes happen at once. Under TSO the source reads go through the
+    /// store buffer (own pending installs are chased), and the copy and
+    /// the install are *buffered*, FIFO-ordered copy before install: until
+    /// the install drains, remote cores still see the old home — the
+    /// publication window the certifier's MF010/MF011/MF012 diagnostics
+    /// reason about.
+    fn try_relocate(
         &mut self,
         core: usize,
         src: Addr,
         tgt: Addr,
         n_words: u64,
     ) -> Result<(), MachineFault> {
+        let tso = self.is_tso();
+        let mut scratch = Vec::new();
         for i in 0..n_words {
+            let t = tgt.add_words(i);
             let mut cur = src.add_words(i);
-            loop {
-                let buffered = sb_peek(&self.cores[core].sb, cur.word_base());
-                let from_buffer = buffered.is_some();
-                let (val, fbit) = buffered.unwrap_or_else(|| self.mem.unforwarded_read(cur));
-                if from_buffer {
-                    self.note_event(SmpEvent::Access {
-                        core,
-                        word: cur.word_base(),
-                        is_store: false,
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    let st = &mut self.cores[core].stats;
-                    st.loads += 1;
-                    st.hits += 1;
-                    st.sb_forwards += 1;
-                } else {
-                    let lat = self.access(core, cur.word_base(), 8, false);
-                    self.cores[core].now += lat;
-                }
+            let mut guard = WalkGuard::new(WalkPolicy::SOFTWARE, &mut scratch);
+            let val = loop {
+                let ((val, fbit), from_buffer) = self.chain_word(core, cur, tso);
+                self.charge_chain_read(core, cur, from_buffer);
                 if !fbit {
-                    let t = tgt.add_words(i);
-                    self.note_event(SmpEvent::StoreBuffered {
-                        core,
-                        word: t.word_base(),
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    self.cores[core].sb.push_back(SbWrite::Copy {
-                        addr: t,
-                        value: val,
-                    });
-                    self.sb_trim(core)?;
-                    self.note_event(SmpEvent::FbitInstall {
-                        core,
-                        word: cur.word_base(),
-                        to: t,
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    self.cores[core].sb.push_back(SbWrite::Install {
-                        word: cur,
-                        fwd_to: t,
-                    });
-                    self.sb_trim(core)?;
-                    break;
+                    break val;
                 }
+                guard.hop(cur, Addr(val))?;
                 cur = Addr(val);
+            };
+            if tso {
+                self.note_event(SmpEvent::StoreBuffered {
+                    core,
+                    word: t.word_base(),
+                });
+                self.cores[core].now += self.cfg.hit_latency;
+                self.cores[core].sb.push_back(SbWrite::Copy {
+                    addr: t,
+                    value: val,
+                });
+                self.sb_trim(core)?;
+                self.note_event(SmpEvent::FbitInstall {
+                    core,
+                    word: cur.word_base(),
+                    to: t,
+                });
+                self.cores[core].now += self.cfg.hit_latency;
+                self.cores[core].sb.push_back(SbWrite::Install {
+                    word: cur,
+                    fwd_to: t,
+                });
+                self.sb_trim(core)?;
+            } else {
+                let lat = self.access(core, t, 8, true);
+                self.cores[core].now += lat;
+                self.mem.write_data(t, 8, val);
+                self.mem.unforwarded_write(cur, t.0, true);
+                // The forwarding-address install rewrites the (shared)
+                // chain-terminal word; the race detector must see it as a
+                // store even though it bypasses the timed access path.
+                self.note_event(SmpEvent::Access {
+                    core,
+                    word: cur.word_base(),
+                    is_store: true,
+                });
             }
         }
         Ok(())
@@ -1299,39 +1279,14 @@ impl SmpMachine {
     ///
     /// # Panics
     ///
-    /// Under TSO, panics if a capacity-forced drain faults.
+    /// Panics if `src` or `tgt` is not word-aligned, if a source word's
+    /// forwarding chain is cyclic, or (under TSO) if a capacity-forced
+    /// drain faults.
     pub fn relocate(&mut self, core: usize, src: Addr, tgt: Addr, n_words: u64) {
         assert!(src.is_aligned(8) && tgt.is_aligned(8));
-        if self.is_tso() {
-            if let Err(fault) = self.try_relocate_tso(core, src, tgt, n_words) {
-                record_last_fault(fault);
-                panic!("{fault}");
-            }
-            return;
-        }
-        for i in 0..n_words {
-            let mut cur = src.add_words(i);
-            loop {
-                let (val, fbit) = self.mem.unforwarded_read(cur);
-                let lat = self.access(core, cur.word_base(), 8, false);
-                self.cores[core].now += lat;
-                if !fbit {
-                    let lat = self.access(core, tgt.add_words(i), 8, true);
-                    self.cores[core].now += lat;
-                    self.mem.write_data(tgt.add_words(i), 8, val);
-                    self.mem.unforwarded_write(cur, tgt.add_words(i).0, true);
-                    // The forwarding-address install rewrites the (shared)
-                    // chain-terminal word; the race detector must see it as
-                    // a store even though it bypasses the timed access path.
-                    self.note_event(SmpEvent::Access {
-                        core,
-                        word: cur.word_base(),
-                        is_store: true,
-                    });
-                    break;
-                }
-                cur = Addr(val);
-            }
+        if let Err(fault) = self.try_relocate(core, src, tgt, n_words) {
+            record_last_fault(fault);
+            panic!("{fault}");
         }
     }
 }
@@ -1348,7 +1303,10 @@ impl std::fmt::Debug for SmpMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::take_last_fault;
     use memfwd_tagmem::DEFAULT_HOP_LIMIT;
+    use proptest::prelude::*;
+    use std::panic::AssertUnwindSafe;
 
     fn smp(cores: usize) -> SmpMachine {
         SmpMachine::new(
@@ -1486,44 +1444,170 @@ mod tests {
         assert_eq!(m.try_load(0, blocks[0], 8), Ok(99), "long != cyclic");
     }
 
-    /// Both machines read the same hop limit and hard budget from the
-    /// configuration: a 12-hop acyclic chain over a budget of 4 faults
-    /// identically on a uniprocessor and on a 1-core SC SMP.
-    #[test]
-    fn hard_hop_budget_faults_like_the_uniprocessor() {
-        let sim = SimConfig {
-            hard_hop_budget: Some(4),
-            ..SimConfig::default()
-        };
+    /// Word `i` of the differential test's forwarding graphs, one per line.
+    fn node(i: u64) -> Addr {
+        Addr(0x10_000 + 64 * i)
+    }
+
+    /// Runs `ops` (is_store, addr, size, value) on a uniprocessor and on a
+    /// 1-core SC SMP whose memories both start with `words` (addr, value,
+    /// fbit), checking that each op returns the same value or the same
+    /// fault, payload included, and that the words end up equal. Returns
+    /// the common outcomes (0 for a store).
+    fn uni_vs_smp(
+        sim: SimConfig,
+        words: &[(Addr, u64, bool)],
+        ops: &[(bool, Addr, u64, u64)],
+    ) -> Result<Vec<Result<u64, MachineFault>>, TestCaseError> {
         let mut uni = crate::Machine::new(sim);
-        let mut m = SmpMachine::new(
+        let mut smp = SmpMachine::new(
             SmpConfig {
                 cores: 1,
                 ..SmpConfig::default()
             },
             sim,
         );
-        let uni_chain: Vec<Addr> = (0..13).map(|_| uni.malloc(8)).collect();
-        let smp_chain: Vec<Addr> = (0..13).map(|_| m.malloc(8)).collect();
-        for (u, s) in uni_chain.windows(2).zip(smp_chain.windows(2)) {
-            uni.unforwarded_write(u[0], u[1].0, true);
-            m.mem.unforwarded_write(s[0], s[1].0, true);
+        for &(w, value, fbit) in words {
+            uni.mem.unforwarded_write(w, value, fbit);
+            smp.mem.unforwarded_write(w, value, fbit);
         }
-        let over_budget = |chain: &[Addr]| {
-            Err(MachineFault::HopLimitExceeded {
-                at: chain[4],
-                hops: 5,
-            })
+        let mut out = Vec::new();
+        for &(is_store, addr, size, value) in ops {
+            let (u, s) = if is_store {
+                let u = uni.try_store(addr, size, value).map(|()| 0);
+                (u, smp.try_store(0, addr, size, value).map(|()| 0))
+            } else {
+                (uni.try_load(addr, size), smp.try_load(0, addr, size))
+            };
+            prop_assert_eq!(u, s, "{size}-byte op (store: {is_store}) at {addr}");
+            out.push(u);
+        }
+        for &(w, ..) in words {
+            let (u, s) = (uni.mem.read_word_tagged(w), smp.mem.read_word_tagged(w));
+            prop_assert_eq!(u, s, "word {w}");
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// An acyclic chain of 0-20 hops from node 0 whose tail word (kind
+        /// 0..6) is data, a forwarding address to a node (possibly closing
+        /// a cycle), or one corrupted to null, misaligned, below the heap
+        /// or far beyond it; a few random extra words of the same kinds; a
+        /// random hop limit and hard budget; random loads and stores.
+        fn uni_and_smp_agree_on_random_forwarding_graphs(
+            chain_len in 0u64..=20,
+            tail in (0u8..6, 0u64..24),
+            extra in proptest::collection::vec((0u64..24, 0u8..6, 0u64..24), 0..4),
+            limits in (1u32..=12, 0u32..=16),
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0u64..=24, 0u64..8, 0u32..4, any::<u64>()),
+                1..8,
+            ),
+        ) {
+            let word = |from, kind, to| match kind {
+                0 => (node(from), to, false),
+                1 => (node(from), node(to).0, true),
+                2 => (node(from), 0, true),
+                3 => (node(from), node(to).0 + 3, true),
+                4 => (node(from), 8, true),
+                _ => (node(from), 0x7fff_ffff_f000 + 64 * to, true),
+            };
+            let mut words: Vec<_> = (0..chain_len).map(|i| word(i, 1, i + 1)).collect();
+            words.push(word(chain_len, tail.0, tail.1));
+            words.extend(extra.iter().map(|&(from, kind, to)| word(from, kind, to)));
+            let sim = SimConfig {
+                hop_limit: limits.0,
+                hard_hop_budget: (limits.1 > 0).then_some(limits.1),
+                ..SimConfig::default()
+            };
+            let ops: Vec<_> = ops
+                .iter()
+                .map(|&(is_store, n, offset, log_size, value)| {
+                    let size = 1u64 << log_size;
+                    // Node 24 stands for the null pointer.
+                    let addr = match n {
+                        24 => Addr::NULL,
+                        _ => node(n) + (offset & !(size - 1)),
+                    };
+                    (is_store, addr, size, value)
+                })
+                .collect();
+            uni_vs_smp(sim, &words, &ops)?;
+        }
+    }
+
+    /// The uniprocessor and a 1-core SC SMP obey one walk policy: they
+    /// return the same values and faults on any forwarding graph.
+    #[test]
+    fn uni_and_one_core_sc_smp_agree_on_forwarding_graphs() {
+        // A 12-hop acyclic chain over a hard budget of 4 faults identically
+        // for loads and stores. Within the budget, past the hop limit, the
+        // accurate cycle check lets both follow it.
+        let sim = SimConfig {
+            hop_limit: 2,
+            hard_hop_budget: Some(4),
+            ..SimConfig::default()
         };
-        assert_eq!(uni.try_load_word(uni_chain[0]), over_budget(&uni_chain));
-        assert_eq!(m.try_load(0, smp_chain[0], 8), over_budget(&smp_chain));
-        assert_eq!(
-            m.try_store(0, smp_chain[0], 8, 1),
-            over_budget(&smp_chain).map(|_| ())
-        );
-        // Within the budget both machines follow the chain.
-        assert_eq!(uni.try_load_word(uni_chain[8]), Ok(0));
-        assert_eq!(m.try_load(0, smp_chain[8], 8), Ok(0));
+        let mut chain: Vec<_> = (0..12).map(|i| (node(i), node(i + 1).0, true)).collect();
+        chain.push((node(12), 99, false));
+        let ops = [
+            (false, node(0), 8, 0),
+            (true, node(0), 8, 1),
+            (false, node(8), 8, 0),
+        ];
+        let over_budget = Err(MachineFault::HopLimitExceeded {
+            at: node(4),
+            hops: 5,
+        });
+        let out = uni_vs_smp(sim, &chain, &ops).unwrap();
+        assert_eq!(out, [over_budget, over_budget, Ok(99)]);
+        uni_and_smp_agree_on_random_forwarding_graphs();
+    }
+
+    /// The raw relocation copy can close a forwarding cycle: relocating `c`
+    /// (which holds its own address) onto the already-relocated `a`
+    /// overwrites `a`'s forwarding address with `c`, leaving a -> c -> a.
+    /// Relocating `a` again must then fault, not spin forever.
+    #[test]
+    fn relocating_from_a_forwarding_cycle_faults_instead_of_hanging() {
+        for model in [MemoryModel::Sc, MemoryModel::Tso] {
+            // On a helper thread, so that a hang fails the test instead
+            // of stalling the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let sim = SimConfig {
+                    memory_model: model,
+                    ..SimConfig::default()
+                };
+                let mut m = SmpMachine::new(
+                    SmpConfig {
+                        cores: 1,
+                        ..SmpConfig::default()
+                    },
+                    sim,
+                );
+                let [a, b, c, d] = [(); 4].map(|()| m.malloc(8));
+                m.store(0, c, 8, c.0);
+                m.relocate(0, a, b, 1);
+                m.fence(0);
+                m.relocate(0, c, a, 1);
+                m.fence(0);
+                let load = m.try_load(0, a, 8);
+                let relocate = AssertUnwindSafe(|| m.relocate(0, a, d, 1));
+                let panicked = std::panic::catch_unwind(relocate).is_err();
+                let _ = tx.send((load, panicked, take_last_fault()));
+            });
+            let (load, panicked, fault) = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{model:?}: relocating from a cycle hung"));
+            worker.join().expect("the helper thread sent its result");
+            let cycle =
+                |f: Option<MachineFault>| matches!(f, Some(MachineFault::ForwardingCycle { .. }));
+            assert!(cycle(load.err()), "{model:?}: {load:?}");
+            assert!(panicked && cycle(fault), "{model:?}: {fault:?}");
+        }
     }
 
     #[test]

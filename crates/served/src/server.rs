@@ -325,16 +325,19 @@ fn run_one_job(state: &ServerState, job: &Arc<Job>) {
     let campaign = std::thread::scope(|s| {
         let watchdog_stop = stop.clone();
         let done_ref = &done;
-        s.spawn(move || {
+        // Polls drain and deadline every 25 ms; unparked as soon as the
+        // campaign ends, so the scope does not wait out a poll interval.
+        let watchdog = s.spawn(move || {
             while !done_ref.load(Ordering::SeqCst) {
                 if signal::drain_requested() || deadline.is_some_and(|d| Instant::now() >= d) {
                     watchdog_stop.store(true, Ordering::SeqCst);
                 }
-                std::thread::sleep(Duration::from_millis(25));
+                std::thread::park_timeout(Duration::from_millis(25));
             }
         });
         let r = run_campaign(&job.spec, &farm_opts, &runner, &mut journal);
         done.store(true, Ordering::SeqCst);
+        watchdog.thread().unpark();
         r
     });
 

@@ -1,18 +1,16 @@
-//! Forwarding-chain resolution.
+//! Forwarding-chain walks, and the one policy every walk obeys.
 //!
 //! When a memory word is accessed, its forwarding bit is tested; if set, the
 //! word's contents replace the access address (plus the byte offset within
-//! the word) and the access is relaunched. This repeats until a clear
-//! forwarding bit is found (paper §3.2). The functions here perform that
-//! walk, including the hop-limit counter and the accurate software cycle
-//! check the paper describes for breaking forwarding cycles.
+//! the word) and the access is relaunched, until a clear forwarding bit is
+//! found (paper §3.2). A hop counter raises an exception once a walk passes
+//! a hop limit, and an accurate software cycle check then takes over.
 //!
-//! The walks are **allocation-free** in the common case: the accurate cycle
-//! check only engages after a hop-limit exception, and when it does it
-//! records visited words in a caller-supplied scratch `Vec` (see
-//! [`resolve_with_scratch`]) instead of building a fresh hash set per
-//! resolution. Chains short enough to pass the accurate check are tiny, so a
-//! linear `contains` scan over the scratch beats hashing.
+//! [`WalkGuard`] is that rule, written once: every forwarding walk of the
+//! simulator reads and charges for its own chain words and hands each hop to
+//! a guard. The guard is allocation-free until the check engages; it then
+//! records visited words in a caller-held scratch `Vec` (chains that pass
+//! the check are short, so a linear `contains` beats hashing).
 
 use crate::error::CycleError;
 use crate::memory::TaggedMemory;
@@ -20,11 +18,112 @@ use crate::word::Addr;
 
 /// Default hardware hop-limit: how many forwarding hops an access may take
 /// before the hop counter raises an exception and the accurate software
-/// cycle check engages (paper §3.2). Shared by [`resolve_unbounded`] and the
-/// core simulator's `SimConfig::hop_limit` default. The limit never changes
-/// the *result* of a resolution — only when the cycle check switches on — so
-/// any positive value is functionally equivalent.
+/// cycle check engages (paper §3.2). Used by [`WalkPolicy::SOFTWARE`] and
+/// the core simulator's `SimConfig::hop_limit` default. The limit never
+/// changes the *result* of a walk — only when the cycle check switches on —
+/// so any value is functionally equivalent.
 pub const DEFAULT_HOP_LIMIT: u32 = 8;
+
+/// When a forwarding walk's cycle check engages, and whether the walk has a
+/// hard cap on its length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkPolicy {
+    /// Hops a walk may take before the accurate cycle check engages.
+    pub hop_limit: u32,
+    /// Hops after which the walk faults, cycle or not (`None`: unbounded).
+    pub hard_budget: Option<u32>,
+}
+
+impl WalkPolicy {
+    /// A software walk (an `Unforwarded_Read` loop): the default hop limit
+    /// and no hard budget, so only a genuine cycle stops it.
+    pub const SOFTWARE: WalkPolicy = WalkPolicy {
+        hop_limit: DEFAULT_HOP_LIMIT,
+        hard_budget: None,
+    };
+}
+
+/// Why a [`WalkGuard`] stopped a walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkFault {
+    /// The accurate check found the chain revisiting a word.
+    Cycle(CycleError),
+    /// The walk took more hops than [`WalkPolicy::hard_budget`].
+    OverBudget {
+        /// The word whose forwarding address was one hop too many.
+        at: Addr,
+        /// Hops taken, including the one over budget.
+        hops: u32,
+    },
+}
+
+/// Enforces a [`WalkPolicy`] over one walk, hop by hop.
+#[derive(Debug)]
+pub struct WalkGuard<'s> {
+    policy: WalkPolicy,
+    hops: u32,
+    checking: bool,
+    scratch: &'s mut Vec<Addr>,
+}
+
+impl<'s> WalkGuard<'s> {
+    /// A guard for one walk. `scratch` is only cleared and written once the
+    /// cycle check engages, so its contents between walks are meaningless.
+    #[inline]
+    pub fn new(policy: WalkPolicy, scratch: &'s mut Vec<Addr>) -> WalkGuard<'s> {
+        WalkGuard {
+            policy,
+            hops: 0,
+            checking: false,
+            scratch,
+        }
+    }
+
+    /// Judges the hop from the word at `cur` to the word at `next` (byte
+    /// offsets are ignored). Returns `Ok(true)` on the hop whose hop-limit
+    /// exception engages the accurate cycle check, where a hardware walk
+    /// charges the check's cost, and `Ok(false)` on every other hop.
+    ///
+    /// # Errors
+    ///
+    /// [`WalkFault::OverBudget`] at `cur` once the walk exceeds the hard
+    /// budget (checked first), and [`WalkFault::Cycle`] at `next` once the
+    /// engaged check sees `next` revisited.
+    #[inline]
+    pub fn hop(&mut self, cur: Addr, next: Addr) -> Result<bool, WalkFault> {
+        self.hops += 1;
+        if self.policy.hard_budget.is_some_and(|b| self.hops > b) {
+            return Err(WalkFault::OverBudget {
+                at: cur.word_base(),
+                hops: self.hops,
+            });
+        }
+        let next = next.word_base();
+        if self.checking {
+            if self.scratch.contains(&next) {
+                return Err(WalkFault::Cycle(CycleError {
+                    at: next,
+                    hops: self.hops,
+                }));
+            }
+            self.scratch.push(next);
+        } else if self.hops > self.policy.hop_limit {
+            // No re-walk is needed: from here on every visited word is
+            // remembered, and a cycle must revisit one of them.
+            self.scratch.clear();
+            self.scratch.extend([cur.word_base(), next]);
+            self.checking = true;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Hops judged so far.
+    #[inline]
+    pub fn hops(&self) -> u32 {
+        self.hops
+    }
+}
 
 /// Outcome of resolving an initial address to its final address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +145,8 @@ impl Resolution {
 ///
 /// `hop_limit` models the hardware hop counter: when the number of hops
 /// exceeds the limit, an exception is raised and an accurate cycle check is
-/// performed in software. A false alarm (a genuinely long chain) resets the
-/// counter and resumes; a real cycle aborts with [`CycleError`].
+/// performed in software. A false alarm (a genuinely long chain) resumes
+/// the walk; a real cycle aborts with [`CycleError`].
 ///
 /// # Errors
 ///
@@ -73,10 +172,6 @@ pub fn resolve(mem: &TaggedMemory, addr: Addr, hop_limit: u32) -> Result<Resolut
 /// [`resolve`] with a caller-held scratch buffer for the cycle check, so hot
 /// loops resolving many addresses perform no heap allocation at all.
 ///
-/// The scratch is cleared on entry; its contents between calls are
-/// meaningless. It is only written after a hop-limit exception engages the
-/// accurate check, so for chains within `hop_limit` it stays untouched.
-///
 /// # Errors
 ///
 /// Returns [`CycleError`] if the chain revisits a word it already traversed.
@@ -86,53 +181,11 @@ pub fn resolve_with_scratch(
     hop_limit: u32,
     scratch: &mut Vec<Addr>,
 ) -> Result<Resolution, CycleError> {
-    scratch.clear();
-    let offset = addr.word_offset();
-    let mut word = addr.word_base();
-    let mut hops = 0u32;
-    let mut counter = 0u32;
-    let mut checking = false;
-
-    loop {
-        let (fwd, fbit) = mem.read_word_tagged(word);
-        if !fbit {
-            break;
-        }
-        let next = Addr(fwd).word_base();
-        hops += 1;
-        counter += 1;
-        if checking {
-            if scratch.contains(&next) {
-                return Err(CycleError { at: next, hops });
-            }
-            scratch.push(next);
-        } else if counter > hop_limit {
-            // Hop-limit exception: switch to the accurate software check for
-            // the remainder of the walk (paper §3.2). Re-walk is not needed:
-            // from here on we remember every word we visit; a cycle must
-            // eventually revisit one of them.
-            scratch.push(word);
-            scratch.push(next);
-            checking = true;
-            counter = 0;
-        }
-        word = next;
-    }
+    let (word, hops) = walk_words(mem, addr, hop_limit, scratch, |_| {})?;
     Ok(Resolution {
-        final_addr: word + offset,
+        final_addr: word + addr.word_offset(),
         hops,
     })
-}
-
-/// Resolves with the [`DEFAULT_HOP_LIMIT`]. Convenience for callers that do
-/// not model the hardware counter. (The limit only controls when the
-/// accurate cycle check engages — it never changes the result.)
-///
-/// # Errors
-///
-/// Returns [`CycleError`] on a genuine forwarding cycle.
-pub fn resolve_unbounded(mem: &TaggedMemory, addr: Addr) -> Result<Resolution, CycleError> {
-    resolve(mem, addr, DEFAULT_HOP_LIMIT)
 }
 
 /// Returns every word address on the forwarding chain starting at (and
@@ -142,32 +195,44 @@ pub fn resolve_unbounded(mem: &TaggedMemory, addr: Addr) -> Result<Resolution, C
 /// deallocated, all memory reachable via its forwarding chain must be
 /// deallocated as well.
 ///
-/// The cycle check is lazy, like [`resolve`]'s: it only engages once the
-/// walk exceeds [`DEFAULT_HOP_LIMIT`] hops, and then scans `out` itself —
-/// which already records every visited word — instead of maintaining a
-/// separate hash set. Unforwarded words (the overwhelmingly common
-/// deallocation case) cost one combined read and one `Vec` push.
-///
 /// # Errors
 ///
 /// Returns [`CycleError`] on a genuine forwarding cycle.
 pub fn chain_words(mem: &TaggedMemory, addr: Addr) -> Result<Vec<Addr>, CycleError> {
+    let mut out = vec![addr.word_base()];
+    walk_words(mem, addr, DEFAULT_HOP_LIMIT, &mut Vec::new(), |w| {
+        out.push(w)
+    })?;
+    Ok(out)
+}
+
+/// The untimed, budget-free walk from `addr`'s word, passing each word it
+/// hops to to `visit`. Returns the terminal word and the hop count.
+fn walk_words(
+    mem: &TaggedMemory,
+    addr: Addr,
+    hop_limit: u32,
+    scratch: &mut Vec<Addr>,
+    mut visit: impl FnMut(Addr),
+) -> Result<(Addr, u32), CycleError> {
+    let policy = WalkPolicy {
+        hop_limit,
+        hard_budget: None,
+    };
+    let mut guard = WalkGuard::new(policy, scratch);
     let mut word = addr.word_base();
-    let mut out = vec![word];
-    let mut hops = 0;
     loop {
         let (fwd, fbit) = mem.read_word_tagged(word);
         if !fbit {
-            break;
+            return Ok((word, guard.hops()));
         }
-        word = Addr(fwd).word_base();
-        hops += 1;
-        if hops > DEFAULT_HOP_LIMIT && out.contains(&word) {
-            return Err(CycleError { at: word, hops });
+        let next = Addr(fwd).word_base();
+        if let Err(WalkFault::Cycle(c)) = guard.hop(word, next) {
+            return Err(c);
         }
-        out.push(word);
+        visit(next);
+        word = next;
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -233,7 +298,7 @@ mod tests {
         let mut mem = TaggedMemory::new();
         mem.unforwarded_write(Addr(0x100), 0x100, true);
         assert!(resolve(&mem, Addr(0x104), 16).is_err());
-        assert!(resolve_unbounded(&mem, Addr(0x104)).is_err());
+        assert!(resolve(&mem, Addr(0x104), DEFAULT_HOP_LIMIT).is_err());
     }
 
     #[test]
@@ -291,6 +356,40 @@ mod tests {
         chain(&mut mem, &nodes);
         let words = chain_words(&mem, Addr(0x2000)).unwrap();
         assert_eq!(words.len(), 40);
+    }
+
+    #[test]
+    fn guard_engages_the_check_once_past_the_hop_limit() {
+        let mut scratch = vec![Addr(0xdead)];
+        let policy = WalkPolicy {
+            hop_limit: 2,
+            hard_budget: None,
+        };
+        let mut guard = WalkGuard::new(policy, &mut scratch);
+        let engaged: Vec<bool> = (0..5u64)
+            .map(|i| guard.hop(Addr(0x100 + i * 8), Addr(0x108 + i * 8)).unwrap())
+            .collect();
+        assert_eq!(engaged, [false, false, true, false, false]);
+        assert_eq!(guard.hops(), 5);
+        assert!(!scratch.contains(&Addr(0xdead)), "stale scratch cleared");
+    }
+
+    #[test]
+    fn guard_budget_fault_comes_before_the_cycle_check() {
+        // A self-cycle: hop 1 engages the check; hop 2 both closes the cycle
+        // and exceeds the budget, and the budget fault wins.
+        let policy = WalkPolicy {
+            hop_limit: 0,
+            hard_budget: Some(1),
+        };
+        let mut scratch = Vec::new();
+        let mut guard = WalkGuard::new(policy, &mut scratch);
+        assert_eq!(guard.hop(Addr(0x304), Addr(0x300)), Ok(true));
+        let over = WalkFault::OverBudget {
+            at: Addr(0x300),
+            hops: 2,
+        };
+        assert_eq!(guard.hop(Addr(0x304), Addr(0x300)), Err(over));
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! paged, byte-addressable memory in which every 64-bit word carries a
 //! one-bit tag — the *forwarding bit*. When software relocates an object it
 //! stores the object's new address into the old location and sets the bit;
-//! the chain-resolution functions ([`resolve`], [`chain_words`]) then take any access to the old location to the
-//! object's new home, guaranteeing that data relocation is always safe.
+//! the chain-resolution functions ([`resolve`], [`chain_words`]) then take
+//! any access to the old location to the object's new home, guaranteeing
+//! that data relocation is always safe. Every forwarding walk, here and in
+//! the timed simulator, obeys one hop-limit and cycle-check policy, enforced
+//! by a [`WalkGuard`].
 //!
 //! The crate deliberately contains **no timing model**: it is the functional
 //! half of the simulator. Timing lives in `memfwd-cache` / `memfwd-cpu` and
@@ -47,7 +50,8 @@ mod word;
 
 pub use alloc::{AllocPolicy, Heap, HeapStats, Pool};
 pub use chain::{
-    chain_words, resolve, resolve_unbounded, resolve_with_scratch, Resolution, DEFAULT_HOP_LIMIT,
+    chain_words, resolve, resolve_with_scratch, Resolution, WalkFault, WalkGuard, WalkPolicy,
+    DEFAULT_HOP_LIMIT,
 };
 pub use error::{CycleError, TagMemError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

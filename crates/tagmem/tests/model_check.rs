@@ -1,6 +1,6 @@
 //! Property-based checks of the tagged memory against reference models.
 
-use memfwd_tagmem::{chain_words, resolve, resolve_unbounded, Addr, Heap, Pool, TaggedMemory};
+use memfwd_tagmem::{chain_words, resolve, Addr, Heap, Pool, TaggedMemory, DEFAULT_HOP_LIMIT};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -55,7 +55,7 @@ proptest! {
         }
     }
 
-    /// `resolve` with any hop limit agrees with the unbounded resolver on
+    /// `resolve` with any hop limit agrees with the default hop limit on
     /// acyclic chains, and both reject cyclic ones.
     #[test]
     fn hop_limit_is_semantics_free(len in 0usize..20, limit in 1u32..16, cyclic in any::<bool>()) {
@@ -68,8 +68,8 @@ proptest! {
             mem.unforwarded_write(Addr(*nodes.last().unwrap()), nodes[len / 2], true);
         }
         let bounded = resolve(&mem, Addr(nodes[0] + 4), limit);
-        let unbounded = resolve_unbounded(&mem, Addr(nodes[0] + 4));
-        match (bounded, unbounded) {
+        let default = resolve(&mem, Addr(nodes[0] + 4), DEFAULT_HOP_LIMIT);
+        match (bounded, default) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a, b);
                 prop_assert!(!cyclic || len == 0);
@@ -89,7 +89,7 @@ proptest! {
         }
         let words = chain_words(&mem, Addr(nodes[0])).unwrap();
         prop_assert_eq!(words.len(), len + 1);
-        let r = resolve_unbounded(&mem, Addr(nodes[0])).unwrap();
+        let r = resolve(&mem, Addr(nodes[0]), DEFAULT_HOP_LIMIT).unwrap();
         prop_assert_eq!(*words.last().unwrap(), r.final_addr);
         prop_assert_eq!(r.hops as usize, len);
     }

@@ -5,7 +5,7 @@
 use memfwd_repro::core::{
     list_linearize, relocate, restore_machine, save_machine, ListDesc, Machine, SimConfig,
 };
-use memfwd_repro::tagmem::{resolve_unbounded, Addr, Heap, TaggedMemory};
+use memfwd_repro::tagmem::{resolve, Addr, Heap, TaggedMemory, DEFAULT_HOP_LIMIT};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -135,7 +135,7 @@ proptest! {
         for w in homes.windows(2) {
             mem.unforwarded_write(Addr(w[0]), w[1], true);
         }
-        let r = resolve_unbounded(&mem, Addr(homes[0] + offset)).unwrap();
+        let r = resolve(&mem, Addr(homes[0] + offset), DEFAULT_HOP_LIMIT).unwrap();
         prop_assert_eq!(r.final_addr, Addr(homes[hops] + offset));
         prop_assert_eq!(r.hops, hops as u32);
     }
